@@ -1,14 +1,11 @@
-// End-to-end evaluation hot-path throughput: decode, single-design attack
-// evaluation, and full GA generations per second, measured on the legacy
-// (allocating) paths and the workspace (allocation-free) paths side by
-// side. The attack mix is the seeded-GA workload the AutoLock loop runs
-// per individual: structural link prediction + SCOPE.
+// End-to-end evaluation hot-path throughput: decode (allocating
+// apply_genotype vs workspace apply_genotype_into), single-design attack
+// evaluation, and full GA generations per second through EvalPipeline. The
+// attack mix is the seeded-GA workload the AutoLock loop runs per
+// individual: structural link prediction + SCOPE.
 //
-// This is the benchmark future perf PRs are measured against: run with
-// --json to refresh BENCH_bench_eval_throughput.json. The "speedup" column
-// of the GA section is the acceptance metric (workspace generations/s over
-// legacy generations/s); trajectories are identical in both modes, pinned
-// by tests/test_workspace.cpp.
+// Run with --json to refresh BENCH_bench_eval_throughput.json. Pipeline
+// results are pinned against reference oracles by tests/test_workspace.cpp.
 #include "bench/common.hpp"
 
 #include <thread>
@@ -62,11 +59,9 @@ Measurement time_decodes(const netlist::Netlist& original,
   return m;
 }
 
-eval::EvalPipelineConfig attack_mix_config(bool workspaces,
-                                           std::uint64_t seed) {
+eval::EvalPipelineConfig attack_mix_config(std::uint64_t seed) {
   eval::EvalPipelineConfig config;
   config.attacks = {"structural", "scope"};
-  config.workspaces = workspaces;
   config.seed = seed;
   return config;
 }
@@ -84,8 +79,7 @@ int main(int argc, char** argv) {
 
   util::Table decode_table({"circuit", "K", "mode", "decodes/s", "seconds"});
   util::Table eval_table({"circuit", "K", "mode", "evals/s", "seconds"});
-  util::Table ga_table(
-      {"circuit", "K", "mode", "gens/s", "seconds", "evals", "speedup"});
+  util::Table ga_table({"circuit", "K", "mode", "gens/s", "seconds", "evals"});
   util::Table corruption_table(
       {"circuit", "K", "mode", "probes/s", "seconds", "speedup"});
   util::Table gnn_table(
@@ -126,8 +120,8 @@ int main(int argc, char** argv) {
 
     // ---- single-evaluation throughput (structural + scope) ----------------
     const std::size_t eval_iters = args.quick ? 3 : 10;
-    for (const bool workspace_mode : {false, true}) {
-      eval::EvalPipelineConfig config = attack_mix_config(workspace_mode, 0);
+    {
+      eval::EvalPipelineConfig config = attack_mix_config(0);
       config.cache = false;
       eval::EvalPipeline pipeline(original, config);
       auto mutable_genes = genes;
@@ -137,8 +131,7 @@ int main(int argc, char** argv) {
       }
       const double s = timer.elapsed_seconds();
       eval_table.add_row(
-          {std::string(info.name), std::to_string(w.key_bits),
-           workspace_mode ? "workspace" : "legacy",
+          {std::string(info.name), std::to_string(w.key_bits), "workspace",
            util::fmt(static_cast<double>(eval_iters) / s, 2),
            util::fmt(s, 3)});
     }
@@ -148,23 +141,16 @@ int main(int argc, char** argv) {
     ga_config.population = 12;
     ga_config.generations = args.quick ? 2 : 4;
     ga_config.seed = 42;
-    double legacy_gens_per_s = 0.0;
-    for (const bool workspace_mode : {false, true}) {
-      eval::EvalPipeline pipeline(
-          original, attack_mix_config(workspace_mode, ga_config.seed));
+    {
+      eval::EvalPipeline pipeline(original, attack_mix_config(ga_config.seed));
       ga::GeneticAlgorithm ga(original, ga_config);
       util::Timer timer;
       const auto result = ga.run(w.key_bits, pipeline);
       const double s = timer.elapsed_seconds();
-      const double gens_per_s =
-          static_cast<double>(ga_config.generations) / s;
-      if (!workspace_mode) legacy_gens_per_s = gens_per_s;
       ga_table.add_row(
-          {std::string(info.name), std::to_string(w.key_bits),
-           workspace_mode ? "workspace" : "legacy", util::fmt(gens_per_s, 3),
-           util::fmt(s, 3), std::to_string(result.evaluations),
-           workspace_mode ? util::fmt(gens_per_s / legacy_gens_per_s, 2) + "x"
-                          : "1.00x"});
+          {std::string(info.name), std::to_string(w.key_bits), "workspace",
+           util::fmt(static_cast<double>(ga_config.generations) / s, 3),
+           util::fmt(s, 3), std::to_string(result.evaluations)});
     }
     // ---- corruption probe throughput: single-key loop vs multi-key lanes --
     // The pipeline's probe shape: 64 wrong keys sharing 4 random vectors.
@@ -288,7 +274,7 @@ int main(int argc, char** argv) {
              util::fmt(m.rate, 1), util::fmt(m.seconds, 3)});
       }
       eval::EvalPipeline pipeline(
-          original, attack_mix_config(true, ga_config.seed));
+          original, attack_mix_config(ga_config.seed));
       ga::GeneticAlgorithm ga(original, ga_config);
       util::Timer timer;
       const auto result = ga.run(spec, pipeline);
@@ -311,7 +297,7 @@ int main(int argc, char** argv) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}}) {
         eval::EvalPipelineConfig config =
-            attack_mix_config(true, ga_config.seed);
+            attack_mix_config(ga_config.seed);
         config.threads = threads;
         eval::EvalPipeline pipeline(original, config);
         ga::GeneticAlgorithm ga(original, ga_config);

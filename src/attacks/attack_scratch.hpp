@@ -5,8 +5,8 @@
 // hard-negative sampling and subgraph extraction, the flat-optimizer
 // buffers behind SCOPE's area queries, and assorted reusable vectors. Every
 // attack resets the pieces it uses, so a scratch can be handed from design
-// to design (and attack to attack) freely — results are bit-identical to
-// the allocating legacy paths, which remain available for one-shot callers.
+// to design (and attack to attack) freely: results never depend on what the
+// scratch evaluated before.
 #pragma once
 
 #include <vector>

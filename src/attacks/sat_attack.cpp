@@ -59,18 +59,13 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
   // solves reuse the same solver — learnt clauses and VSIDS state survive
   // across all of it.
   //
-  // In cone-template mode the second copy shares the key-independent
-  // remainder with the first (it is identical in both), so the initial
-  // miter grows by one key cone instead of one whole circuit — every DIP
-  // search then propagates a much smaller formula. The full-copy baseline
-  // keeps the classic two-full-copies miter.
+  // The second copy shares the key-independent remainder with the first
+  // (it is identical in both), so the initial miter grows by one key cone
+  // instead of one whole circuit — every DIP search then propagates a much
+  // smaller formula.
   sat::ConeTemplate cone(locked);
   const Encoding enc1 = sat::encode_netlist(solver, locked);
-  const Encoding enc2 =
-      config_.dip_encoding == DipEncoding::kConeTemplate
-          ? cone.encode_shared_copy(solver, enc1)
-          : sat::encode_netlist(solver, locked, enc1.primary_input_var,
-                                std::nullopt);
+  const Encoding enc2 = cone.encode_shared_copy(solver, enc1);
   std::vector<Var> pi_vars = enc1.primary_input_var;
   std::vector<Var> key1_vars = enc1.key_var;
   std::vector<Var> key2_vars = enc2.key_var;
@@ -163,27 +158,9 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     const std::vector<bool> response = oracle_sim.run_single(dip, Key{});
 
     // Append the IO constraint (both copies must map dip -> response).
-    bool consistent = true;
-    if (config_.dip_encoding == DipEncoding::kConeTemplate) {
-      consistent = cone.bind_dip(dip, response) &&
-                   cone.encode_copy(solver, key1_vars) &&
-                   cone.encode_copy(solver, key2_vars);
-    } else {
-      // Baseline: two fresh pinned copies of the whole circuit. The DIP
-      // inputs are pinned as level-0 facts BEFORE each copy is encoded,
-      // so add_clause's level-0 simplification constant-folds the input
-      // cones while encoding.
-      for (const auto& key_vars : {key1_vars, key2_vars}) {
-        const Encoding pinned = sat::encode_netlist(
-            solver, locked, sat::pin_constants(solver, dip), key_vars);
-        for (std::size_t o = 0; o < pinned.output_var.size(); ++o) {
-          consistent = solver.add_clause(make_lit(pinned.output_var[o],
-                                                  !response[o])) &&
-                       consistent;
-        }
-      }
-      consistent = consistent && solver.okay();
-    }
+    const bool consistent = cone.bind_dip(dip, response) &&
+                            cone.encode_copy(solver, key1_vars) &&
+                            cone.encode_copy(solver, key2_vars);
     result.iterations.push_back(
         {solver.num_vars() - vars_before,
          solver.num_clauses() - clauses_before, solver.stats().arena_bytes,
@@ -214,10 +191,11 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     result.recovered_key[b] = solver.model_value(key1_vars[b]);
   }
 
-  // Canonicalize: walk the key bits most-significant-first, greedily
-  // forcing each to 0 when some consistent key allows it. Every query is
-  // an assumption solve on the warm solver. A kUnknown (conflict budget)
-  // aborts canonicalization but keeps the (valid) witness key.
+  // Canonicalize: walk the key bits from bit 0 (the most significant in
+  // lexicographic order), greedily forcing each to 0 when some consistent
+  // key allows it. Every query is an assumption solve on the warm solver.
+  // A kUnknown (conflict budget) aborts canonicalization but keeps the
+  // (valid) witness key.
   if (config_.canonicalize_key) {
     std::vector<Lit> prefix;
     prefix.reserve(key_bits);

@@ -39,12 +39,13 @@ struct ScopeScore {
 
 class ScopeAttack {
  public:
+  /// One-shot convenience: attack(locked, scratch) on a fresh scratch.
   ScopeResult attack(const netlist::Netlist& locked) const;
 
-  /// Scratch-reusing variant: the per-hypothesis areas come from the flat
-  /// gate-count optimizer (netlist::optimized_gate_count_with_key_bit)
-  /// instead of two fully materialized synthesis runs per key bit. Areas —
-  /// and therefore every decision — are identical to attack(locked).
+  /// The per-hypothesis areas come from the flat gate-count optimizer
+  /// (netlist::optimized_gate_count_with_key_bit): exactly the gate counts
+  /// of netlist::optimize_with_key_bit, without materializing either
+  /// synthesized netlist.
   ScopeResult attack(const netlist::Netlist& locked,
                      AttackScratch& scratch) const;
 

@@ -492,11 +492,11 @@ CampaignResult run(const CampaignSpec& spec_in) {
 
     // Warm workspace family for the attack sweep: one per pool shard,
     // pre-sized for the largest scheme.
-    std::vector<std::unique_ptr<eval::EvalWorkspace>> workspaces;
-    workspaces.reserve(shards);
+    std::vector<std::unique_ptr<eval::EvalWorkspace>> workspace_pool;
+    workspace_pool.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
-      workspaces.push_back(std::make_unique<eval::EvalWorkspace>());
-      workspaces.back()->reserve(original, max_key_bits);
+      workspace_pool.push_back(std::make_unique<eval::EvalWorkspace>());
+      workspace_pool.back()->reserve(original, max_key_bits);
     }
 
     // Lock jobs run sequentially (population batches fan out internally;
@@ -528,7 +528,7 @@ CampaignResult run(const CampaignSpec& spec_in) {
     const auto run_one = [&](std::size_t shard, std::size_t index) {
       cells[index] = run_cell(spec, circuit, *plans[index].job,
                               *plans[index].attack, original,
-                              *workspaces[shard]);
+                              *workspace_pool[shard]);
     };
     if (pool) {
       pool->parallel_for_sharded(plans.size(), run_one);
@@ -660,8 +660,10 @@ std::string to_markdown(const CampaignResult& result) {
   os << "- verification: " << result.cells_passed << "/"
      << result.cells.size() << " cells passed\n\n";
   os << "Cell values are resilience (1 − attack accuracy); higher is better "
-        "for the defender. A trailing `!` marks a cell whose verification "
-        "stage failed.\n";
+        "for the defender. `n/a` marks a cell whose attack reached no key bit "
+        "(attacked fraction 0): its accuracy would be coin-flip credit, not a "
+        "measurement. A trailing `!` marks a cell whose verification stage "
+        "failed.\n";
 
   for (const CircuitAxis& circuit : spec.circuits) {
     os << "\n## " << circuit.name << "\n\n";
@@ -687,7 +689,10 @@ std::string to_markdown(const CampaignResult& result) {
         if (found == nullptr) {
           os << " — |";
         } else {
-          os << " " << util::fmt(found->resilience, 3)
+          os << " "
+             << (found->attacked_fraction == 0.0
+                     ? "n/a"
+                     : util::fmt(found->resilience, 3))
              << (found->verification.passed() ? "" : "!") << " |";
         }
       }

@@ -6,8 +6,8 @@
 // result into an AttackReport with shared accuracy / precision /
 // key-recovery fields. Adapters are constructed by name through
 // AttackRegistry (eval/registry.hpp) and consumed in bulk by EvalPipeline
-// (eval/pipeline.hpp), which owns the decode -> attack -> score loop the
-// optimizers in core/ used to re-implement individually.
+// (eval/pipeline.hpp), which owns the decode -> attack -> score loop every
+// optimizer in core/ runs.
 #pragma once
 
 #include <cstdint>
@@ -65,19 +65,16 @@ class Attack {
   /// Stable registry name ("muxlink", "scope", ...).
   virtual const std::string& name() const noexcept = 0;
 
-  /// Runs the attack on `design` and scores it against the ground-truth key.
-  virtual AttackReport evaluate(const lock::LockedDesign& design) const = 0;
-
-  /// Workspace-reusing variant: adapters with an allocation-free path
-  /// override this to route scratch state through `workspace`; the result
-  /// must be identical to evaluate(design). The workspace is exclusively
-  /// the caller's for the duration of the call (one per pool shard), so
-  /// overrides need no internal synchronization.
+  /// Runs the attack on `design` and scores it against the ground-truth key,
+  /// routing all scratch state through `workspace`. The workspace is
+  /// exclusively the caller's for the duration of the call (one per pool
+  /// shard), so implementations need no internal synchronization.
   virtual AttackReport evaluate(const lock::LockedDesign& design,
-                                EvalWorkspace& workspace) const {
-    (void)workspace;
-    return evaluate(design);
-  }
+                                EvalWorkspace& workspace) const = 0;
+
+  /// One-shot convenience: evaluate(design, workspace) on a fresh
+  /// EvalWorkspace.
+  virtual AttackReport evaluate(const lock::LockedDesign& design) const;
 };
 
 }  // namespace autolock::eval

@@ -72,13 +72,6 @@ struct EvalPipelineConfig {
   /// Borrowed external pool (not owned; must outlive the pipeline).
   util::ThreadPool* pool = nullptr;
 
-  /// Route evaluations through per-worker EvalWorkspaces (the
-  /// allocation-free hot path: reused decode buffers, CSR attack graphs,
-  /// epoch-stamped traversal marks, flat-optimizer area queries, simulator
-  /// scratch). Results are bit-identical either way; disable only to
-  /// measure the legacy allocating paths (bench_eval_throughput does).
-  bool workspaces = true;
-
   /// Disable to force one attack run per evaluate call (single-trajectory
   /// heuristics count proposals, not unique genotypes).
   bool cache = true;
@@ -134,11 +127,12 @@ class EvalPipeline {
   /// Runs every configured attack and returns the raw reports.
   std::vector<AttackReport> reports(const lock::LockedDesign& design) const;
   /// Scalar fitness of a design: 1 - mean accuracy (+ corruption term).
-  /// When `workspace` is non-null the attacks and the corruption
-  /// measurement run through its scratch state (identical results).
+  /// The attacks and the corruption measurement run through `workspace`'s
+  /// scratch state; a null `workspace` means a local one for this call.
   ga::Evaluation score(const lock::LockedDesign& design,
                        EvalWorkspace* workspace = nullptr) const;
   /// Objective vector of a design: per-attack accuracy (+ corruption).
+  /// `workspace` as in score().
   std::vector<double> score_objectives(
       const lock::LockedDesign& design,
       EvalWorkspace* workspace = nullptr) const;
@@ -148,7 +142,7 @@ class EvalPipeline {
   /// multi-key sweep per vector. The key and vector streams mix the
   /// configured seed and are forked independently (keys first), so distinct
   /// pipeline seeds probe distinct sets, equal seeds reproduce exactly, and
-  /// the key count never shifts the vector draws.
+  /// the key count never shifts the vector draws. `workspace` as in score().
   double corruption(const lock::LockedDesign& design,
                     EvalWorkspace* workspace = nullptr) const;
 
@@ -180,9 +174,9 @@ class EvalPipeline {
   ///
   /// Concurrency contract: one batch fans out over the worker pool
   /// internally, but distinct batches on the SAME pipeline must be
-  /// serialized by the caller — the per-shard workspaces (and the
-  /// workspace pool growth in ensure_workspaces) are not guarded against
-  /// two simultaneous batches. Every optimizer in core/ calls this from
+  /// serialized by the caller — the per-shard workspace pool (and its
+  /// growth in grow_workspace_pool) is not guarded against two
+  /// simultaneous batches. Every optimizer in core/ calls this from
   /// its single driver thread.
   BatchStats evaluate_population(std::vector<ga::Individual>& population,
                                  std::size_t generation);
@@ -214,14 +208,14 @@ class EvalPipeline {
   void check_objective_arity(const std::vector<double>& objectives) const;
   /// Grows the per-shard workspace pool to at least `count` entries. Must
   /// not race with a running batch (callers invoke it before fan-out).
-  void ensure_workspaces(std::size_t count);
+  void grow_workspace_pool(std::size_t count);
 
   /// Shared batch protocol behind both evaluate_population overloads:
   /// cache scan -> (sharded) decode + compute for the misses ->
   /// deterministic sequential cache stores under pre-repair and repaired
   /// keys. `needs_eval(ind)` filters carried-over survivors, `result_of
   /// (ind)` yields the slot the cached/computed Value lands in, and
-  /// `compute(design, workspace*)` scores one decoded design.
+  /// `compute(design, workspace)` scores one decoded design.
   template <typename Individual, typename Value, typename NeedsEval,
             typename ResultOf, typename Compute>
   BatchStats evaluate_batch(std::vector<Individual>& population,

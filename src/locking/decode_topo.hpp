@@ -3,12 +3,12 @@
 //
 // Genotype decode applies MUX-pair lock sites one at a time to a working
 // copy of the original netlist, and must reject any site whose cross edges
-// would close a combinational cycle. The historical check ran a from-scratch
-// backward DFS over the working netlist's per-gate fanin vectors for every
-// candidate site — and gene repair probes up to 64 candidates per key bit,
-// so one decode could walk the whole graph hundreds of times.
+// would close a combinational cycle. A from-scratch backward DFS over the
+// working netlist's per-gate fanin vectors per candidate site would walk the
+// whole graph hundreds of times per decode (gene repair probes up to 64
+// candidates per key bit).
 //
-// DecodeTopo replaces that with a dynamic topological order:
+// DecodeTopo answers the same question from a dynamic topological order:
 //
 //   - Ranks are sparse u64 values seeded once per decode from the original
 //     netlist's longest-path levels, spaced kRankGap apart (the seed array
@@ -32,9 +32,10 @@
 //     as MUXes splice into fanin lists, plus a tail for appended nodes —
 //     traversals walk contiguous u32 spans, never per-node heap vectors.
 //
-// Verdict equivalence with the legacy DFS (same accepts, same rejects, in
-// the same order — decode repair RNG consumption is bit-identical) is pinned
-// by the property test in tests/test_sites.cpp.
+// Verdict equivalence with a from-scratch backward DFS over the working
+// netlist (same accepts, same rejects, in the same order — decode repair
+// RNG consumption is bit-identical) is pinned by the property test in
+// tests/test_sites.cpp against the DFS oracle in tests/reference/.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,8 @@ namespace autolock::netlist::bench {
 /// arity violation, combinational cycle).
 Netlist parse(std::string_view text, std::string circuit_name = "bench");
 
-/// Reads and parses a .bench file.
+/// Reads and parses a .bench file. Throws std::runtime_error if the file
+/// cannot be opened or read (e.g. `path` is a directory).
 Netlist load_file(const std::string& path);
 
 /// Serializes in BENCH syntax: inputs, outputs, then gate lines in

@@ -1,3 +1,6 @@
+// The one `.bench` reader: bench_io.hpp's parse()/load_file() and this
+// module's stream_parse()/stream_load_file() all feed lines to scan_line
+// and hand the scanned records to build().
 #include "netlist/bench_stream.hpp"
 
 #include <cctype>
@@ -31,8 +34,10 @@ std::string_view trim(std::string_view s) noexcept {
                            std::to_string(line_no) + ": " + message);
 }
 
-/// Mirrors the key-shape probe in bench_io.cpp: "keyinput" + digits,
-/// regardless of whether the index fits kMaxKeyBitIndex.
+/// True iff `name` is "keyinput" followed by one or more digits — the key
+/// naming *shape*, regardless of whether the index fits kMaxKeyBitIndex.
+/// Used to turn out-of-range indices into parse errors instead of silently
+/// demoting them to primary inputs.
 bool has_key_input_shape(std::string_view name) noexcept {
   constexpr std::string_view kPrefix = "keyinput";
   if (name.size() <= kPrefix.size()) return false;
@@ -46,10 +51,9 @@ bool has_key_input_shape(std::string_view name) noexcept {
 constexpr std::uint32_t kNoTid = static_cast<std::uint32_t>(-1);
 
 /// Scan-local string interner: every distinct signal name is copied once
-/// into a flat char arena and afterwards addressed by a dense u32 id — the
-/// replacement for the one-std::string-per-occurrence pending records of
-/// the in-memory parser. Open-addressed (power-of-two, linear probing) over
-/// FNV-1a hashes; lookups touch no heap strings.
+/// into a flat char arena and afterwards addressed by a dense u32 id.
+/// Open-addressed (power-of-two, linear probing) over FNV-1a hashes;
+/// lookups touch no heap strings.
 class NamePool {
  public:
   std::uint32_t intern(std::string_view s) {
@@ -105,8 +109,8 @@ class NamePool {
   std::vector<std::uint32_t> buckets_;
 };
 
-/// Flat counterparts of the in-memory parser's pending records: names are
-/// pool ids, operands live in one shared flat vector.
+/// Pending declarations, recorded by the scan and resolved by build():
+/// names are pool ids, operands live in one shared flat vector.
 struct PendingPort {
   std::uint32_t tid = kNoTid;
   std::size_t line_no = 0;
@@ -128,9 +132,8 @@ struct ScanState {
   std::vector<std::uint32_t> operands;  // flat [op_begin, op_end) storage
 };
 
-/// One line of the grammar — the same decision sequence (and the same
-/// diagnostics, in the same order) as the in-memory parser's scan loop,
-/// operating on views into the chunk buffer.
+/// One line of the grammar, scanned in place (views into the caller's
+/// text or chunk buffer). Diagnostics name `line_no`.
 void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
   const std::size_t hash_pos = line.find('#');
   if (hash_pos != std::string_view::npos) line = line.substr(0, hash_pos);
@@ -139,6 +142,8 @@ void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
 
   const std::size_t eq = line.find('=');
   const std::size_t first_open = line.find('(');
+  // An '=' inside the parentheses of a directive ("INPUT(a=b)") would
+  // otherwise slip through as a bogus BUF alias named "INPUT(a".
   if (eq != std::string_view::npos && first_open != std::string_view::npos &&
       first_open < eq) {
     fail(line_no, "unexpected '=' after '('");
@@ -223,6 +228,8 @@ void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
       std::size_t comma = args.find(',', start);
       if (comma == std::string_view::npos) comma = args.size();
       const std::string_view operand = trim(args.substr(start, comma - start));
+      // "AND(a,,b)" / "AND(a,)" must not drop the empty slot: it would
+      // shift every later operand (fatal for MUX fanin order).
       if (operand.empty()) fail(line_no, "empty operand");
       s.operands.push_back(s.pool.intern(operand));
       start = comma + 1;
@@ -236,51 +243,59 @@ void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
   s.gates.push_back(gate);
 }
 
-/// Scan phase: reads `in` chunk by chunk, feeding complete lines (views
-/// into the chunk buffer) to scan_line and carrying the partial last line
-/// to the front of the next read. A line longer than the buffer doubles it.
-void scan_stream(std::istream& in, std::size_t chunk_bytes, ScanState& s) {
+/// Scans every complete ('\n'-terminated) line of `text`, numbering them
+/// from `line_no` + 1; returns the offset just past the last newline.
+std::size_t scan_lines(std::string_view text, std::size_t& line_no,
+                       ScanState& s) {
+  std::size_t pos = 0;
+  for (std::size_t eol; (eol = text.find('\n', pos)) != std::string_view::npos;
+       pos = eol + 1) {
+    scan_line(text.substr(pos, eol - pos), ++line_no, s);
+  }
+  return pos;
+}
+
+/// Reads `in` chunk by chunk, scanning complete lines in place and carrying
+/// the partial last line to the front of the next read. A line longer than
+/// the buffer doubles it. Returns false on a read error (a directory, a
+/// failing device) — never mistaking it for the end of the text.
+bool scan_stream(std::istream& in, std::size_t chunk_bytes, ScanState& s) {
   std::vector<char> buf(std::max<std::size_t>(chunk_bytes, 64));
   std::size_t have = 0;
   std::size_t line_no = 0;
-  bool eof = false;
-  while (!eof || have > 0) {
-    if (!eof) {
-      if (have == buf.size()) buf.resize(buf.size() * 2);
-      in.read(buf.data() + have, static_cast<std::streamsize>(buf.size() - have));
-      const std::size_t got = static_cast<std::size_t>(in.gcount());
-      have += got;
-      if (got == 0) eof = true;
-    }
-    std::size_t pos = 0;
-    while (pos < have) {
-      const void* nl = std::memchr(buf.data() + pos, '\n', have - pos);
-      if (nl == nullptr) break;
-      const std::size_t eol =
-          static_cast<std::size_t>(static_cast<const char*>(nl) - buf.data());
-      scan_line({buf.data() + pos, eol - pos}, ++line_no, s);
-      pos = eol + 1;
-    }
-    if (eof && pos < have) {  // final line without a trailing newline
-      scan_line({buf.data() + pos, have - pos}, ++line_no, s);
-      pos = have;
+  for (;;) {
+    if (have == buf.size()) buf.resize(buf.size() * 2);
+    in.read(buf.data() + have, static_cast<std::streamsize>(buf.size() - have));
+    if (in.bad()) return false;
+    const std::size_t got = static_cast<std::size_t>(in.gcount());
+    have += got;
+    const std::size_t pos = scan_lines({buf.data(), have}, line_no, s);
+    if (got == 0) {  // end of text: the final line has no trailing newline
+      if (pos < have) scan_line({buf.data() + pos, have - pos}, ++line_no, s);
+      return true;
     }
     std::memmove(buf.data(), buf.data() + pos, have - pos);
     have -= pos;
   }
 }
 
-}  // namespace
+/// "dir/c880.bench" -> "c880".
+std::string circuit_name_of(const std::string& path) {
+  std::string name = path;
+  if (const auto slash = name.find_last_of('/'); slash != std::string::npos) {
+    name = name.substr(slash + 1);
+  }
+  if (const auto dot = name.find_last_of('.'); dot != std::string::npos) {
+    name = name.substr(0, dot);
+  }
+  return name;
+}
 
-Netlist stream_parse(std::istream& in, std::string circuit_name,
-                     std::size_t chunk_bytes) {
-  ScanState s;
-  scan_stream(in, chunk_bytes, s);
-
-  // Build phase: the same definition checks, the same dependency DFS and
-  // the same diagnostics as the in-memory parser, over pool ids instead of
-  // string keys. def_flag mirrors its `defined` map (inputs + materialized
-  // gates), gate_of its `gate_by_name`.
+/// Build phase: definition checks, then a dependency DFS that honours
+/// use-before-definition, then one pass that materializes the netlist.
+/// def_flag marks defined names (inputs + materialized gates), gate_of maps
+/// a name to its defining gate record.
+Netlist build(const ScanState& s, std::string circuit_name) {
   const std::size_t pool_n = s.pool.size();
   std::vector<std::uint8_t> def_flag(pool_n, 0);
   std::vector<std::uint32_t> gate_of(pool_n, kNoTid);
@@ -304,9 +319,9 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
     gate_of[tid] = i;
   }
 
-  // Dependency DFS in declaration order — must replicate the in-memory
-  // parser exactly (including pushing every unresolved operand per visit):
-  // mat_order is the node-creation order, and with it the NameId order.
+  // Dependency DFS in declaration order, pushing every unresolved operand
+  // per visit: mat_order is the node-creation order, and with it the NameId
+  // order — part of the reader's contract (see bench_stream.hpp).
   std::vector<std::uint8_t> state(s.gates.size(), 0);  // 0=new 1=visiting 2=done
   std::vector<std::uint32_t> stack;
   std::vector<std::uint32_t> mat_order;
@@ -352,8 +367,8 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
     }
   }
 
-  // Materialize. One intern_batch in node-creation order gives every name
-  // the exact NameId the in-memory parse would have assigned it.
+  // Materialize. One intern_batch in node-creation order: inputs first,
+  // then gates in DFS materialization order.
   Netlist netlist(std::move(circuit_name));
   netlist.names()->reserve(s.inputs.size() + mat_order.size());
   netlist.reserve_nodes(s.inputs.size() + mat_order.size(), s.inputs.size());
@@ -402,19 +417,47 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
   return netlist;
 }
 
+}  // namespace
+
+Netlist parse(std::string_view text, std::string circuit_name) {
+  ScanState s;
+  std::size_t line_no = 0;
+  const std::size_t pos = scan_lines(text, line_no, s);
+  if (pos < text.size()) scan_line(text.substr(pos), ++line_no, s);
+  return build(s, std::move(circuit_name));
+}
+
+Netlist load_file(const std::string& path) {
+  // One whole-file read: the text is small next to the netlist it becomes,
+  // and parse() scans it in place.
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open bench file: " + path);
+  std::string text;
+  char chunk[1 << 16] = {};
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw std::runtime_error("I/O error reading: " + path);
+  return parse(text, circuit_name_of(path));
+}
+
+Netlist stream_parse(std::istream& in, std::string circuit_name,
+                     std::size_t chunk_bytes) {
+  ScanState s;
+  if (!scan_stream(in, chunk_bytes, s)) {
+    throw std::runtime_error("I/O error reading bench stream");
+  }
+  return build(s, std::move(circuit_name));
+}
+
 Netlist stream_load_file(const std::string& path, std::size_t chunk_bytes) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open bench file: " + path);
-  std::string circuit_name = path;
-  if (const auto slash = circuit_name.find_last_of('/');
-      slash != std::string::npos) {
-    circuit_name = circuit_name.substr(slash + 1);
+  ScanState s;
+  if (!scan_stream(in, chunk_bytes, s)) {
+    throw std::runtime_error("I/O error reading: " + path);
   }
-  if (const auto dot = circuit_name.find_last_of('.');
-      dot != std::string::npos) {
-    circuit_name = circuit_name.substr(0, dot);
-  }
-  return stream_parse(in, std::move(circuit_name), chunk_bytes);
+  return build(s, circuit_name_of(path));
 }
 
 void stream_write(const Netlist& netlist, std::ostream& out) {

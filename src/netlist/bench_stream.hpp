@@ -1,30 +1,23 @@
 // Streaming `.bench` reader/writer.
 //
-// The in-memory bench_io::parse() needs the whole file text resident plus
-// one std::string per pending name before it builds a single node — at a
-// million gates that is hundreds of megabytes of transient text and tens of
-// millions of small-string allocations. This module reads the file in fixed
-// chunks and scans lines in place (string_views into the chunk buffer, names
-// copied once into a flat arena keyed by a local interner), then builds the
-// exact same Netlist:
+// There is one reader. It scans lines in place (string_views into the
+// caller's text or a fixed-size chunk buffer; names copied once into a
+// flat arena keyed by a local interner), then builds the Netlist from flat
+// per-gate records (POD, one u32 per operand). bench_io::parse() feeds it
+// a whole text; stream_parse() feeds it chunk by chunk, so peak transient
+// state is the chunk buffer plus those records, never the whole file.
+// Either way, the same bytes give:
 //
-//   - identical structure AND identical NameIds: names are interned into the
-//     new netlist's table in parse()'s order (inputs in declaration order,
-//     then gates in dependency-DFS materialization order) through one
-//     NameTable::intern_batch call, so every node of the streamed result
-//     carries the same NameId as the in-memory parse of the same bytes;
-//   - identical diagnostics: every malformed input fails with the same
-//     "bench parse error at line N: ..." message parse() produces, in the
-//     same precedence order (scan errors over build errors);
-//   - bounded memory: peak transient state is the chunk buffer plus flat
-//     per-gate records (POD, one u32 per operand) — never one heap string
-//     per line and never the whole file.
+//   - identical structure AND identical NameIds: names are interned inputs
+//     first (declaration order), then gates in dependency-DFS
+//     materialization order, through one NameTable::intern_batch call;
+//   - identical diagnostics: "bench parse error at line N: ...", scan
+//     errors (first offending line) before build errors.
 //
-// The writer mirrors bench_io::write() byte for byte but emits into a
-// std::ostream as it goes (bench_io::write() is implemented on top of it),
-// so a million-gate netlist serializes without building the full text in
-// memory. Round-trip equivalence against the in-memory paths is pinned by
-// tests/test_bench_stream.cpp.
+// The writer emits into a std::ostream as it goes (bench_io::write() is
+// implemented on top of it), so a million-gate netlist serializes without
+// building the full text in memory. Both are pinned against an independent
+// in-memory parser (tests/reference/) by tests/test_bench_stream.cpp.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +34,14 @@ inline constexpr std::size_t kStreamChunkBytes = std::size_t{1} << 20;
 /// Parses BENCH text from a stream in `chunk_bytes`-sized reads. Identical
 /// result (structure, NameIds, node order) and identical error messages to
 /// bench_io::parse() over the same bytes. A line longer than the chunk size
-/// is handled by growing the carry buffer, not an error.
+/// is handled by growing the carry buffer, not an error; a read error
+/// throws std::runtime_error.
 Netlist stream_parse(std::istream& in, std::string circuit_name = "bench",
                      std::size_t chunk_bytes = kStreamChunkBytes);
 
 /// Opens and stream-parses a .bench file (circuit name derived from the
-/// path exactly like bench_io::load_file).
+/// path exactly like bench_io::load_file). Throws std::runtime_error if the
+/// file cannot be opened or read (e.g. `path` is a directory).
 Netlist stream_load_file(const std::string& path,
                          std::size_t chunk_bytes = kStreamChunkBytes);
 

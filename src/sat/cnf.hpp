@@ -57,9 +57,8 @@ Var make_miter(Solver& solver, const Encoding& a, const Encoding& b);
 /// constant folding and literal aliasing: a cone gate whose fanins folded
 /// to constants or a single literal costs zero fresh variables and zero
 /// clauses. Compared with encoding a fresh pinned copy of the whole
-/// netlist per DIP (the kFullCopy baseline in attacks/sat_attack.cpp),
-/// the per-DIP formula growth is proportional to the key cone, not the
-/// circuit.
+/// netlist per DIP, the per-DIP formula growth is proportional to the key
+/// cone, not the circuit.
 ///
 /// bind_dip() doubles as the oracle consistency check: a key-independent
 /// output that already contradicts the response proves NO key can match

@@ -4,6 +4,7 @@
 
 #include "locking/antisat.hpp"
 #include "locking/verify.hpp"
+#include "netlist/bench_stream.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "util/rng.hpp"
@@ -252,6 +253,23 @@ TEST(BenchFile, SaveAndLoad) {
 
 TEST(BenchFile, LoadMissingFileThrows) {
   EXPECT_THROW(load_file("/nonexistent/nope.bench"), std::runtime_error);
+}
+
+TEST(BenchFile, DirectoryPathIsAReadErrorNotAnEmptyNetlist) {
+  // A directory opens as a stream, but every read of it fails. Both loaders
+  // must report that rather than parse the empty text into a 0-node netlist.
+  const std::string dir = AUTOLOCK_TEST_DATA_DIR;
+  const std::string expected = "I/O error reading: " + dir;
+  for (const bool streaming : {false, true}) {
+    try {
+      const Netlist loaded =
+          streaming ? stream_load_file(dir) : load_file(dir);
+      FAIL() << (streaming ? "stream_load_file" : "load_file")
+             << " returned a " << loaded.size() << "-node netlist";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
 }
 
 TEST(BenchWrite, AliasedOutputGetsBufLine) {

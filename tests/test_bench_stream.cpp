@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "locking/antisat.hpp"
 #include "locking/mux_lock.hpp"
@@ -12,13 +14,15 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "reference/bench_parse.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::netlist::bench {
 namespace {
 
-/// The streaming contract: stream_parse over the same bytes produces the
-/// same netlist as parse — node for node, with identical NameIds.
+/// The reader contract: parse and stream_parse over the same bytes produce
+/// the same netlist as the independent in-memory oracle — node for node,
+/// with identical NameIds.
 void expect_identical(const Netlist& a, const Netlist& b) {
   ASSERT_EQ(a.size(), b.size());
   for (NodeId v = 0; v < a.size(); ++v) {
@@ -39,20 +43,26 @@ void expect_identical(const Netlist& a, const Netlist& b) {
   }
 }
 
+Netlist oracle_parse(std::string_view text, std::string name = "bench") {
+  return autolock::reference::parse_bench(text, std::move(name));
+}
+
 Netlist stream_parse_text(const std::string& text,
                           std::size_t chunk_bytes = kStreamChunkBytes) {
   std::istringstream in(text);
   return stream_parse(in, "bench", chunk_bytes);
 }
 
-TEST(BenchStream, C17MatchesInMemoryParse) {
+TEST(BenchStream, C17MatchesOracleParse) {
   const std::string text = write(gen::c17());
-  expect_identical(parse(text), stream_parse_text(text));
+  expect_identical(oracle_parse(text), parse(text));
+  expect_identical(oracle_parse(text), stream_parse_text(text));
 }
 
 TEST(BenchStream, ChunkBoundariesDoNotChangeTheResult) {
   const std::string text = write(gen::c17());
-  const Netlist reference = parse(text);
+  const Netlist reference = oracle_parse(text);
+  expect_identical(reference, parse(text));
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}, kStreamChunkBytes}) {
     expect_identical(reference, stream_parse_text(text, chunk));
@@ -72,7 +82,8 @@ c0 = CONST0
 alias = mid
 OUTPUT(alias)
 )";
-  const Netlist reference = parse(text);
+  const Netlist reference = oracle_parse(text);
+  expect_identical(reference, parse(text));
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{13},
                                   kStreamChunkBytes}) {
     expect_identical(reference, stream_parse_text(text, chunk));
@@ -86,7 +97,8 @@ TEST(BenchStream, RandomCircuitsMatchAcrossChunkSizes) {
     config.outputs = 5;
     config.gates = 80;
     const std::string text = write(gen::make_random(config, seed));
-    const Netlist reference = parse(text);
+    const Netlist reference = oracle_parse(text);
+  expect_identical(reference, parse(text));
     expect_identical(reference, stream_parse_text(text));
     expect_identical(reference, stream_parse_text(text, 17));
   }
@@ -100,7 +112,8 @@ TEST(BenchStream, LayeredCircuitRoundTrips) {
   config.layers = 12;
   const Netlist original = gen::make_layered(config, 5);
   const std::string text = write(original);
-  const Netlist reference = parse(text);
+  const Netlist reference = oracle_parse(text);
+  expect_identical(reference, parse(text));
   expect_identical(reference, stream_parse_text(text));
   // The reparse is functionally the original circuit.
   const Simulator sim_a(original);
@@ -127,7 +140,8 @@ TEST(BenchStream, FileRoundTripPreservesEverything) {
   stream_save_file(original, path);
   const Netlist reparsed = stream_load_file(path);
   std::remove(path.c_str());
-  expect_identical(parse(write(original), "test_bench_stream_tmp"), reparsed);
+  expect_identical(oracle_parse(write(original), "test_bench_stream_tmp"),
+                   reparsed);
 }
 
 std::string stream_parse_error(const std::string& text,
@@ -149,6 +163,15 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
+std::string oracle_parse_error(const std::string& text) {
+  try {
+    (void)oracle_parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(BenchStream, MalformedFixturesProduceIdenticalErrors) {
   const std::string dir = AUTOLOCK_TEST_DATA_DIR;
   const char* files[] = {
@@ -163,8 +186,9 @@ TEST(BenchStream, MalformedFixturesProduceIdenticalErrors) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const std::string text = buffer.str();
-    const std::string expected = parse_error(text);
+    const std::string expected = oracle_parse_error(text);
     ASSERT_FALSE(expected.empty()) << file;
+    EXPECT_EQ(parse_error(text), expected) << file;
     // Same message through every chunking, including pathological sizes.
     EXPECT_EQ(stream_parse_error(text), expected) << file;
     EXPECT_EQ(stream_parse_error(text, 1), expected) << file;
@@ -177,7 +201,7 @@ TEST(BenchStream, MalformedFixturesProduceIdenticalErrors) {
   }
 }
 
-TEST(BenchStream, SyntheticErrorCasesMatchInMemoryMessages) {
+TEST(BenchStream, SyntheticErrorCasesMatchOracleMessages) {
   const char* cases[] = {
       "INPUT(a)\nOUTPUT(y)\ny = AND(a,,a)\n",       // empty operand
       "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n",         // unknown gate type
@@ -191,20 +215,36 @@ TEST(BenchStream, SyntheticErrorCasesMatchInMemoryMessages) {
       "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\ny = NOT(a)\n",  // duplicate def
   };
   for (const char* text : cases) {
-    const std::string expected = parse_error(text);
+    const std::string expected = oracle_parse_error(text);
     ASSERT_FALSE(expected.empty()) << text;
+    EXPECT_EQ(parse_error(text), expected) << text;
     EXPECT_EQ(stream_parse_error(text), expected) << text;
     EXPECT_EQ(stream_parse_error(text, 3), expected) << text;
   }
+}
+
+TEST(BenchStream, FinalLineWithoutNewlineMatches) {
+  // The last statement has no trailing '\n' (nor does a lone CRLF line):
+  // both readers must still scan it, at every chunking.
+  const std::string text = "INPUT(a)\r\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)";
+  const Netlist reference = oracle_parse(text);
+  ASSERT_EQ(reference.gate_count(), 1u);
+  expect_identical(reference, parse(text));
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{5},
+                                  kStreamChunkBytes}) {
+    expect_identical(reference, stream_parse_text(text, chunk));
+  }
+  EXPECT_EQ(parse_error("INPUT(a)\nOUTPUT(y)\ny = AND(a,"),
+            oracle_parse_error("INPUT(a)\nOUTPUT(y)\ny = AND(a,"));
 }
 
 // ---- round-trip fuzz -------------------------------------------------------
 //
 // Writer/reader round trip over randomly shaped layered netlists: for every
 // config draw, stream_write must emit exactly the in-memory writer's bytes,
-// and re-reading those bytes (at several chunk sizes) must reproduce the
-// parsed netlist node for node and NameId for NameId, still functionally
-// identical to the generated circuit.
+// and re-reading those bytes (whole and at several chunk sizes) must
+// reproduce the oracle's netlist node for node and NameId for NameId, still
+// functionally identical to the generated circuit.
 
 void expect_round_trip(const Netlist& original, const netlist::Key& key = {}) {
   std::ostringstream out;
@@ -212,7 +252,8 @@ void expect_round_trip(const Netlist& original, const netlist::Key& key = {}) {
   const std::string text = out.str();
   ASSERT_EQ(text, write(original));
 
-  const Netlist reference = parse(text, original.name());
+  const Netlist reference = oracle_parse(text, original.name());
+  expect_identical(reference, parse(text, original.name()));
   expect_identical(reference, stream_parse_text(text));
   expect_identical(reference, stream_parse_text(text, 1));
   expect_identical(reference, stream_parse_text(text, 29));
@@ -302,7 +343,8 @@ TEST(BenchStream, LongLinesSpanManyChunks) {
     operands += "verylonginputname" + std::to_string(i);
   }
   text += "y = AND(" + operands + ")\n";
-  const Netlist reference = parse(text);
+  const Netlist reference = oracle_parse(text);
+  expect_identical(reference, parse(text));
   expect_identical(reference, stream_parse_text(text, 16));
 }
 

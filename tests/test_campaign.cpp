@@ -9,6 +9,8 @@
 //     ("a","bc") differ) and not on enumeration order;
 //   - check_report_invariants accepts a sane report and names each
 //     violated invariant;
+//   - the markdown table renders a cell whose attack reached no key bit as
+//     `n/a`, not as a coin-flip resilience;
 //   - resolve-time validation rejects unknown circuit/attack/optimizer
 //     names before any cell runs.
 #include <gtest/gtest.h>
@@ -149,6 +151,38 @@ TEST(CampaignInvariants, NameEachViolation) {
   EXPECT_NE(violation([](auto& r) { r.seconds = -1.0; }), "");
   // A recovered key with imperfect accuracy is contradictory.
   EXPECT_NE(violation([](auto& r) { r.key_recovered = true; }), "");
+}
+
+TEST(CampaignMarkdown, UnattackedCellRendersAsNotApplicable) {
+  campaign::CampaignResult result;
+  result.spec.name = "markdown";
+  result.spec.circuits = {{"c432", {"muxlink", "scope"}, {"ga"}}};
+  campaign::LockResult lock;
+  lock.circuit = "c432";
+  lock.scheme = "rll";
+  lock.optimizer = "ga";
+  result.locks = {lock};
+  campaign::CellResult unattacked;
+  unattacked.circuit = "c432";
+  unattacked.scheme = "rll";
+  unattacked.optimizer = "ga";
+  unattacked.attack = "muxlink";
+  unattacked.accuracy = 0.5;
+  unattacked.resilience = 0.5;
+  unattacked.attacked_fraction = 0.0;
+  campaign::CellResult attacked = unattacked;
+  attacked.attack = "scope";
+  attacked.accuracy = 0.75;
+  attacked.resilience = 0.25;
+  attacked.attacked_fraction = 1.0;
+  result.cells = {unattacked, attacked};
+  result.cells_passed = 2;
+
+  const std::string markdown = campaign::to_markdown(result);
+  EXPECT_NE(markdown.find("| rll · ga | n/a | 0.250 | 0.000 |"),
+            std::string::npos)
+      << markdown;
+  EXPECT_NE(markdown.find("`n/a` marks a cell"), std::string::npos);
 }
 
 TEST(CampaignResolve, RejectsUnknownAxisNames) {

@@ -4,6 +4,7 @@
 
 #include "locking/mux_lock.hpp"
 #include "netlist/generator.hpp"
+#include "reference/decode.hpp"
 
 namespace autolock::lock {
 namespace {
@@ -176,9 +177,9 @@ void apply_site_to_both(Netlist& working, DecodeTopo& topo,
                        m1, m2);
 }
 
-TEST(IncrementalCycleCheck, AgreesWithLegacyDfsOn200RandomGenotypes) {
+TEST(IncrementalCycleCheck, AgreesWithReferenceDfsOn200RandomGenotypes) {
   // Property: at every step of a decode, the incremental rank-based
-  // applicability verdict equals the legacy from-scratch DFS verdict — for
+  // applicability verdict equals the from-scratch DFS verdict — for
   // the genotype's own genes (including corrupted ones) and for extra
   // random probe sites. Same accepts and rejects, in the same order, is
   // what keeps repair RNG consumption (and hence every GA trajectory)
@@ -216,11 +217,11 @@ TEST(IncrementalCycleCheck, AgreesWithLegacyDfsOn200RandomGenotypes) {
         probe.g_j = static_cast<NodeId>(rng.next_below(original.size()));
         probe.key_bit = rng.next_bool();
         for (const LockSite& candidate : {gene, probe}) {
-          const bool legacy =
-              testing::applicable_to_working_dfs(working, candidate, scratch);
+          const bool dfs = reference::applicable_to_working_dfs(
+              working, candidate, scratch);
           const bool ranks =
               applicable_to_working_ranks(topo, candidate);
-          ASSERT_EQ(legacy, ranks)
+          ASSERT_EQ(dfs, ranks)
               << "divergent verdict at bit " << bit << " trial " << trial;
           ++checks;
         }

@@ -1,14 +1,15 @@
-// The allocation-free evaluation hot path must be a pure performance
-// change: per-worker EvalWorkspaces, CSR attack graphs, the flat-optimizer
-// area queries, epoch-stamped traversals and buffer-reusing decode must all
-// produce bit-identical results to the legacy allocating paths — across
+// The allocation-free evaluation hot path must compute exactly what the
+// straightforward allocating computations do: per-worker EvalWorkspaces,
+// CSR attack graphs, the flat-optimizer area queries, epoch-stamped
+// traversals and buffer-reusing decode are each pinned against an
+// independent oracle (tests/reference/ or an inline rebuild) — across
 // thread counts, and whether a workspace is fresh or has evaluated a
-// thousand designs before. These tests pin every one of those equivalences
-// plus the two behavioural fixes that rode along (repaired-genotype cache
-// keys, corruption RNG seed mixing).
+// thousand designs before. Also pinned: repaired-genotype cache keys and
+// corruption RNG seed mixing.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "attacks/attack_scratch.hpp"
 #include "attacks/scope.hpp"
@@ -21,6 +22,8 @@
 #include "netlist/generator.hpp"
 #include "netlist/opt.hpp"
 #include "netlist/simulator.hpp"
+#include "reference/eval.hpp"
+#include "reference/scope.hpp"
 #include "util/rng.hpp"
 
 namespace autolock {
@@ -33,33 +36,32 @@ Netlist profile(netlist::gen::ProfileId id, std::uint64_t seed) {
   return netlist::gen::make_profile(id, seed);
 }
 
-eval::EvalPipelineConfig attack_mix(bool workspaces, std::uint64_t seed) {
+eval::EvalPipelineConfig attack_mix(std::uint64_t seed) {
   eval::EvalPipelineConfig config;
   config.attacks = {"structural", "scope"};
-  config.workspaces = workspaces;
   config.seed = seed;
   return config;
 }
 
-// ---- flat optimizer vs legacy synthesis ------------------------------------
+// ---- flat optimizer vs full synthesis --------------------------------------
 
-TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnMuxLocking) {
+TEST(FlatOptimizer, GateCountMatchesFullSynthesisOnMuxLocking) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 3);
   const auto design = lock::dmux_lock(original, 12, 3);
   netlist::OptScratch scratch;  // one scratch across every query: reuse
   for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
     for (const bool value : {false, true}) {
-      const auto legacy =
+      const auto synthesized =
           netlist::optimize_with_key_bit(design.netlist, bit, value);
       EXPECT_EQ(netlist::optimized_gate_count_with_key_bit(design.netlist, bit,
                                                            value, scratch),
-                legacy.gate_count())
+                synthesized.gate_count())
           << "bit " << bit << " value " << value;
     }
   }
 }
 
-TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnRll) {
+TEST(FlatOptimizer, GateCountMatchesFullSynthesisOnRll) {
   // RLL XOR/XNOR key gates are the case SCOPE actually strips: the two
   // hypotheses produce asymmetric areas, so both branches of the rewriter
   // (folds and collapses) are exercised.
@@ -68,25 +70,32 @@ TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnRll) {
   netlist::OptScratch scratch;
   for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
     for (const bool value : {false, true}) {
-      const auto legacy =
+      const auto synthesized =
           netlist::optimize_with_key_bit(design.netlist, bit, value);
       EXPECT_EQ(netlist::optimized_gate_count_with_key_bit(design.netlist, bit,
                                                            value, scratch),
-                legacy.gate_count())
+                synthesized.gate_count())
           << "bit " << bit << " value " << value;
     }
   }
 }
 
-TEST(FlatOptimizer, ScopeScratchPathMatchesLegacyAttack) {
+TEST(FlatOptimizer, ScopeMatchesFullSynthesisOracle) {
+  // D-MUX leaves SCOPE blind (equal areas); RLL makes it decide bits, so
+  // both the area and the decision paths are compared.
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 7);
-  const auto design = lock::dmux_lock(original, 10, 7);
   const attack::ScopeAttack scope;
-  const auto legacy = scope.attack(design.netlist);
-  attack::AttackScratch scratch;
-  const auto fast = scope.attack(design.netlist, scratch);
-  ASSERT_EQ(fast.predicted_bits, legacy.predicted_bits);
-  ASSERT_EQ(fast.areas, legacy.areas);
+  attack::AttackScratch scratch;  // shared across designs: reuse
+  for (const auto& design :
+       {lock::dmux_lock(original, 10, 7), lock::rll_lock(original, 10, 7)}) {
+    const auto oracle = reference::scope_attack(design.netlist);
+    const auto fast = scope.attack(design.netlist, scratch);
+    ASSERT_EQ(fast.predicted_bits, oracle.predicted_bits);
+    ASSERT_EQ(fast.areas, oracle.areas);
+    const auto one_shot = scope.attack(design.netlist);
+    ASSERT_EQ(one_shot.predicted_bits, oracle.predicted_bits);
+    ASSERT_EQ(one_shot.areas, oracle.areas);
+  }
 }
 
 TEST(FlatOptimizer, GateCountAccessorMatchesStats) {
@@ -102,8 +111,8 @@ TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
   const Netlist& locked = design.netlist;
   const attack::AttackGraph graph(locked);
 
-  // Reference adjacency, built the way the legacy list-of-lists code did:
-  // undirected edges over present nodes, rows sorted + deduplicated.
+  // Reference adjacency as plain lists of lists: undirected edges over
+  // present nodes, rows sorted + deduplicated.
   const std::size_t n = locked.size();
   std::vector<std::vector<NodeId>> reference(n);
   for (NodeId v = 0; v < n; ++v) {
@@ -125,8 +134,7 @@ TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
     EXPECT_EQ(graph.degree(v), reference[v].size());
   }
 
-  // Reference problems, grouped through a std::map exactly as the legacy
-  // implementation did.
+  // Reference problems, grouped through a std::map keyed by key bit.
   const auto& fanouts = locked.fanouts();
   const auto key_nodes = locked.key_inputs();
   std::vector<int> bit_of(n, -1);
@@ -264,7 +272,25 @@ TEST(WorkspaceDecode, MatchesApplyGenotypeAndSurvivesReuse) {
 
 // ---- pipeline equivalences -------------------------------------------------
 
-TEST(WorkspacePipeline, LegacyAndWorkspaceGaTrajectoriesIdentical) {
+/// attack_mix(seed) with scoring replaced by the reference scorer: the same
+/// decode, cache and batching, but no attack or decode workspace is used to
+/// score anything.
+eval::EvalPipelineConfig reference_mix(const Netlist& original,
+                                       std::uint64_t seed) {
+  auto config = attack_mix(seed);
+  const auto scorer =
+      std::make_shared<reference::Scorer>(original, config.attacks);
+  config.fitness_override = [scorer](const lock::LockedDesign& design) {
+    return scorer->score(design);
+  };
+  config.objectives_override = [scorer](const lock::LockedDesign& design) {
+    return scorer->objectives(design);
+  };
+  config.objectives_override_arity = config.attacks.size();
+  return config;
+}
+
+TEST(WorkspacePipeline, GaTrajectoryMatchesReferenceScorer) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 31);
   ga::GaConfig config;
   config.population = 8;
@@ -272,22 +298,25 @@ TEST(WorkspacePipeline, LegacyAndWorkspaceGaTrajectoriesIdentical) {
   config.seed = 2024;
 
   ga::GaResult results[2];
-  for (const bool workspaces : {false, true}) {
-    eval::EvalPipeline pipeline(original, attack_mix(workspaces, config.seed));
+  for (const bool use_reference : {false, true}) {
+    eval::EvalPipeline pipeline(original,
+                                use_reference
+                                    ? reference_mix(original, config.seed)
+                                    : attack_mix(config.seed));
     ga::GeneticAlgorithm ga(original, config);
-    results[workspaces ? 1 : 0] = ga.run(10, pipeline);
+    results[use_reference ? 1 : 0] = ga.run(10, pipeline);
   }
-  const auto& legacy = results[0];
-  const auto& fast = results[1];
-  EXPECT_EQ(fast.evaluations, legacy.evaluations);
-  EXPECT_EQ(fast.best.genes, legacy.best.genes);
-  EXPECT_EQ(fast.best.eval.fitness, legacy.best.eval.fitness);
-  ASSERT_EQ(fast.history.size(), legacy.history.size());
-  for (std::size_t g = 0; g < legacy.history.size(); ++g) {
-    EXPECT_EQ(fast.history[g].best_fitness, legacy.history[g].best_fitness);
-    EXPECT_EQ(fast.history[g].mean_fitness, legacy.history[g].mean_fitness);
-    EXPECT_EQ(fast.history[g].worst_fitness, legacy.history[g].worst_fitness);
-    EXPECT_EQ(fast.history[g].cache_hits, legacy.history[g].cache_hits);
+  const auto& fast = results[0];
+  const auto& oracle = results[1];
+  EXPECT_EQ(fast.evaluations, oracle.evaluations);
+  EXPECT_EQ(fast.best.genes, oracle.best.genes);
+  EXPECT_EQ(fast.best.eval.fitness, oracle.best.eval.fitness);
+  ASSERT_EQ(fast.history.size(), oracle.history.size());
+  for (std::size_t g = 0; g < oracle.history.size(); ++g) {
+    EXPECT_EQ(fast.history[g].best_fitness, oracle.history[g].best_fitness);
+    EXPECT_EQ(fast.history[g].mean_fitness, oracle.history[g].mean_fitness);
+    EXPECT_EQ(fast.history[g].worst_fitness, oracle.history[g].worst_fitness);
+    EXPECT_EQ(fast.history[g].cache_hits, oracle.history[g].cache_hits);
   }
 }
 
@@ -301,7 +330,7 @@ TEST(WorkspacePipeline, ThreadCountDoesNotChangeGaTrajectory) {
   ga::GaResult results[2];
   int slot = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto pipeline_config = attack_mix(true, config.seed);
+    auto pipeline_config = attack_mix(config.seed);
     pipeline_config.threads = threads;
     eval::EvalPipeline pipeline(original, pipeline_config);
     ga::GeneticAlgorithm ga(original, config);
@@ -320,7 +349,7 @@ TEST(WorkspacePipeline, ThreadCountDoesNotChangeGaTrajectory) {
   }
 }
 
-TEST(WorkspacePipeline, LegacyAndWorkspaceNsga2FrontsIdentical) {
+TEST(WorkspacePipeline, Nsga2FrontsMatchReferenceScorer) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 41);
   ga::Nsga2Config config;
   config.population = 8;
@@ -328,10 +357,13 @@ TEST(WorkspacePipeline, LegacyAndWorkspaceNsga2FrontsIdentical) {
   config.seed = 4242;
 
   ga::Nsga2Result results[2];
-  for (const bool workspaces : {false, true}) {
-    eval::EvalPipeline pipeline(original, attack_mix(workspaces, config.seed));
+  for (const bool use_reference : {false, true}) {
+    eval::EvalPipeline pipeline(original,
+                                use_reference
+                                    ? reference_mix(original, config.seed)
+                                    : attack_mix(config.seed));
     ga::Nsga2 nsga2(original, config);
-    results[workspaces ? 1 : 0] = nsga2.run(8, pipeline);
+    results[use_reference ? 1 : 0] = nsga2.run(8, pipeline);
   }
   EXPECT_EQ(results[1].evaluations, results[0].evaluations);
   EXPECT_EQ(results[1].front_size_history, results[0].front_size_history);
@@ -349,7 +381,7 @@ TEST(WorkspacePipeline, FreshAndReusedWorkspacesAgree) {
   auto genes_a = lock::random_genotype(context, 8, rng);
   auto genes_b = lock::random_genotype(context, 8, rng);
 
-  auto config = attack_mix(true, 9);
+  auto config = attack_mix(9);
   config.cache = false;
   eval::EvalPipeline reused_pipeline(original, config);
   // The reused pipeline evaluates b first, warming (and dirtying) its
@@ -380,7 +412,7 @@ TEST(WorkspacePipeline, PinnedGaTrajectory) {
   config.population = 8;
   config.generations = 3;
   config.seed = 2024;
-  eval::EvalPipeline pipeline(original, attack_mix(true, config.seed));
+  eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::GeneticAlgorithm ga(original, config);
   const auto result = ga.run(10, pipeline);
 
@@ -415,7 +447,7 @@ TEST(WorkspacePipeline, PinnedNsga2Trajectory) {
   config.population = 8;
   config.generations = 3;
   config.seed = 2025;
-  eval::EvalPipeline pipeline(original, attack_mix(true, config.seed));
+  eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::Nsga2 nsga2(original, config);
   const auto result = nsga2.run(10, pipeline);
 
@@ -448,15 +480,14 @@ TEST(WorkspacePipeline, RepairedGenotypeHitsCacheUnderPreRepairKey) {
   // decode-time repair.
   genes[2].f_j = genes[2].f_i;
 
-  eval::EvalPipeline pipeline(original, attack_mix(true, 5));
+  eval::EvalPipeline pipeline(original, attack_mix(5));
   auto first = genes;
   (void)pipeline.evaluate(first, 0);
   ASSERT_NE(first, genes) << "expected the invalid gene to be repaired";
   EXPECT_EQ(pipeline.evaluations(), 1u);
 
-  // A later duplicate of the *pre-repair* genotype must hit the cache: the
-  // legacy store keyed only the repaired genes, so this exact lookup used
-  // to miss forever.
+  // A later duplicate of the *pre-repair* genotype must hit the cache: a
+  // store keyed only by the repaired genes would miss this lookup forever.
   auto duplicate = genes;
   (void)pipeline.evaluate(duplicate, 0);
   EXPECT_EQ(pipeline.evaluations(), 1u);
@@ -476,7 +507,7 @@ TEST(WorkspacePipeline, CorruptionMixesConfiguredSeed) {
   const auto genes = lock::random_genotype(context, 8, rng);
 
   const auto corruption_for = [&](std::uint64_t seed) {
-    eval::EvalPipeline pipeline(original, attack_mix(true, seed));
+    eval::EvalPipeline pipeline(original, attack_mix(seed));
     const auto design = pipeline.decode(genes, 0);
     return pipeline.corruption(design);
   };
