@@ -196,39 +196,5 @@ int main(int argc, char** argv) {
     benchx::emit(throughput, args,
                  "attack propagation throughput (seeded, aggregated)");
   }
-
-  // ---- preprocessing: miter simplification on/off -------------------------
-  {
-    const auto original =
-        netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);
-    const auto dmux = lock::dmux_lock(original, 32, 7);
-    const int reps = args.quick ? 2 : 10;
-
-    util::Table pre({"preprocess", "attacks", "conflicts", "props",
-                     "time (s)", "keys identical"});
-    std::vector<netlist::Key> keys_off;
-    std::vector<netlist::Key> keys_on;
-    for (const bool enabled : {false, true}) {
-      attack::SatAttackConfig config;
-      config.preprocess.enabled = enabled;
-      const attack::SatAttack pre_attacker(config);
-      std::uint64_t conflicts = 0;
-      std::uint64_t props = 0;
-      auto& keys = enabled ? keys_on : keys_off;
-      util::Timer timer;
-      for (int rep = 0; rep < reps; ++rep) {
-        const auto result = pre_attacker.attack(dmux.netlist, original);
-        conflicts += result.total_conflicts;
-        props += result.total_propagations;
-        keys.push_back(result.recovered_key);
-      }
-      const double seconds = timer.elapsed_seconds();
-      pre.add_row({enabled ? "on" : "off", std::to_string(reps),
-                   std::to_string(conflicts), std::to_string(props),
-                   util::fmt(seconds, 3),
-                   enabled ? (keys_on == keys_off ? "yes" : "NO") : "-"});
-    }
-    benchx::emit(pre, args, "preprocessing — miter simplification on/off");
-  }
   return 0;
 }

@@ -24,16 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 #include "netlist/simulator.hpp"
-#include "sat/preprocess.hpp"
-
-namespace autolock::util {
-class ThreadPool;
-}
 
 namespace autolock::attack {
 
@@ -43,26 +37,6 @@ struct SatAttackConfig {
   /// Per-solve conflict budget (0 = unlimited). When exhausted the attack
   /// reports failure with `budget_exhausted` set.
   std::uint64_t conflict_budget = 0;
-  /// Canonicalize the recovered key to the lexicographically smallest key
-  /// (bit 0 first) consistent with all IO constraints (a few extra
-  /// assumption solves on the warm solver). At termination the consistent
-  /// set equals the functionally-correct set, so the canonical key is the
-  /// first unlocking key in that order, whatever the DIP trajectory. When
-  /// off, the key is whatever model the final solve happens to produce.
-  bool canonicalize_key = true;
-  /// When enabled, the initial miter formula is simplified by the
-  /// SatELite-style Preprocessor (PI/key/miter variables frozen) before
-  /// the DIP loop, and the final verification query is preprocessed too.
-  sat::PreprocessConfig preprocess;
-  /// External DIMACS solver command template ("{cnf}" is replaced with a
-  /// CNF path, e.g. "kissat -q {cnf}") raced against the in-tree solver
-  /// on the final verification query — the one solve whose model is never
-  /// read, so racing cannot perturb the attack trajectory. Empty: in-tree
-  /// solver only.
-  std::string portfolio_command;
-  /// Pool to race portfolio backends on (borrowed, not owned). Null: the
-  /// backends run sequentially, in-tree solver first.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Per-DIP-iteration formula growth, surfaced so benches and tests can see
@@ -97,9 +71,6 @@ struct SatAttackResult {
   double mean_lbd = 0.0;
   /// One entry per DIP iteration (empty when the key count is zero).
   std::vector<DipIterationStats> iterations;
-  /// Backend that answered the final verification query ("cdcl" unless a
-  /// portfolio_command won the race; empty if verification never ran).
-  std::string verify_backend;
   double seconds = 0.0;
 };
 

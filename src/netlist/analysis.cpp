@@ -1,30 +1,8 @@
 #include "netlist/analysis.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace autolock::netlist {
-
-std::vector<std::vector<NodeId>> undirected_adjacency(const Netlist& netlist) {
-  std::vector<std::vector<NodeId>> adj(netlist.size());
-  for (NodeId v = 0; v < netlist.size(); ++v) {
-    for (NodeId fanin : netlist.node(v).fanins) {
-      adj[v].push_back(fanin);
-      adj[fanin].push_back(v);
-    }
-  }
-  for (auto& list : adj) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-  return adj;
-}
-
-std::vector<std::size_t> node_levels(const Netlist& netlist) {
-  std::vector<std::size_t> level;
-  node_levels_into(netlist, level);
-  return level;
-}
 
 void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out) {
   out.assign(netlist.size(), 0);
@@ -34,60 +12,6 @@ void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out) {
     for (NodeId fanin : node.fanins) best = std::max(best, out[fanin] + 1);
     out[v] = node.fanins.empty() ? 0 : best;
   }
-}
-
-std::vector<bool> transitive_fanout(
-    const Netlist& netlist, NodeId from,
-    const std::vector<std::vector<NodeId>>& fanouts) {
-  std::vector<bool> reach(netlist.size(), false);
-  std::vector<NodeId> stack;
-  for (NodeId out : fanouts[from]) {
-    if (!reach[out]) {
-      reach[out] = true;
-      stack.push_back(out);
-    }
-  }
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (NodeId out : fanouts[v]) {
-      if (!reach[out]) {
-        reach[out] = true;
-        stack.push_back(out);
-      }
-    }
-  }
-  return reach;
-}
-
-Neighborhood k_hop_neighborhood(
-    const std::vector<std::vector<NodeId>>& adjacency,
-    const std::vector<NodeId>& seeds, std::uint32_t hops,
-    std::size_t max_nodes) {
-  Neighborhood result;
-  std::vector<std::uint32_t> dist(adjacency.size(),
-                                  static_cast<std::uint32_t>(-1));
-  std::queue<NodeId> queue;
-  for (NodeId seed : seeds) {
-    if (dist[seed] != static_cast<std::uint32_t>(-1)) continue;
-    dist[seed] = 0;
-    queue.push(seed);
-  }
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop();
-    result.members.push_back(v);
-    result.distance.push_back(dist[v]);
-    if (max_nodes != 0 && result.members.size() >= max_nodes) break;
-    if (dist[v] >= hops) continue;
-    for (NodeId w : adjacency[v]) {
-      if (dist[w] == static_cast<std::uint32_t>(-1)) {
-        dist[w] = dist[v] + 1;
-        queue.push(w);
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace autolock::netlist

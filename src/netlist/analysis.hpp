@@ -1,42 +1,16 @@
-// Structural analyses shared by the locking schemes (acyclicity-safe site
-// selection needs reachability) and the MuxLink attack (enclosing-subgraph
-// extraction needs undirected k-hop neighborhoods).
+// Structural analyses over a netlist: gate levels, which the structural
+// attack reads for every candidate design.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace autolock::netlist {
 
-/// Undirected adjacency view of a netlist (fanin + fanout edges merged,
-/// deduplicated, sorted). Node ids match the netlist's.
-std::vector<std::vector<NodeId>> undirected_adjacency(const Netlist& netlist);
-
-/// Gate level of every node (sources at 0; level = 1 + max fanin level).
-std::vector<std::size_t> node_levels(const Netlist& netlist);
-
-/// Buffer-reusing variant of node_levels (evaluation hot paths recompute
-/// levels for every candidate design).
+/// Gate level of every node into `out` (sources at 0; level = 1 + max
+/// fanin level). `out` is resized, so one buffer serves every candidate
+/// design on the evaluation hot path.
 void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out);
-
-/// Set of nodes reachable from `from` by following fanout edges (i.e. the
-/// transitive fanout), excluding `from` itself. `fanouts` must come from
-/// netlist.fanouts().
-std::vector<bool> transitive_fanout(
-    const Netlist& netlist, NodeId from,
-    const std::vector<std::vector<NodeId>>& fanouts);
-
-/// Nodes within `hops` undirected hops of any seed (seeds included).
-/// Returns the members in BFS order together with their hop distance.
-struct Neighborhood {
-  std::vector<NodeId> members;     // BFS order, seeds first
-  std::vector<std::uint32_t> distance;  // parallel to members
-};
-Neighborhood k_hop_neighborhood(
-    const std::vector<std::vector<NodeId>>& adjacency,
-    const std::vector<NodeId>& seeds, std::uint32_t hops,
-    std::size_t max_nodes = 0 /* 0 = unbounded */);
 
 }  // namespace autolock::netlist

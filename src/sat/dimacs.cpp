@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,12 +17,17 @@ namespace {
                            what);
 }
 
+// The largest variable count make_lit() can encode: the last variable's
+// negative literal, 2*(vars-1)+1, must still fit in a Lit.
+constexpr long kMaxVars = std::numeric_limits<Lit>::max() / 2 + 1L;
+
 }  // namespace
 
 DimacsCnf read_dimacs(std::istream& in) {
   DimacsCnf cnf;
   bool have_header = false;
   long declared_clauses = 0;
+  std::size_t header_line = 0;
   std::vector<Lit> current;  // clause under construction (may span lines)
   std::string line;
   std::size_t line_no = 0;
@@ -48,9 +54,16 @@ DimacsCnf read_dimacs(std::istream& in) {
           declared_clauses < 0) {
         fail(line_no, "malformed 'p cnf' counts");
       }
+      if (vars > kMaxVars) {
+        fail(line_no, "variable count " + std::to_string(vars) +
+                          " exceeds the encodable maximum " +
+                          std::to_string(kMaxVars));
+      }
       if (tokens >> tok) fail(line_no, "trailing junk after header");
+      // No clauses.reserve(declared_clauses): the count is untrusted and is
+      // only checked against what the file actually holds, at EOF.
       cnf.num_vars = static_cast<int>(vars);
-      cnf.clauses.reserve(static_cast<std::size_t>(declared_clauses));
+      header_line = line_no;
       have_header = true;
       continue;
     }
@@ -67,8 +80,9 @@ DimacsCnf read_dimacs(std::istream& in) {
         current.clear();
         continue;
       }
-      const long var = value < 0 ? -value : value;
-      if (var > cnf.num_vars) {
+      // Range check without negating: -LONG_MIN (strtol's underflow
+      // clamp) would overflow.
+      if (value > cnf.num_vars || value < -static_cast<long>(cnf.num_vars)) {
         fail(line_no, "literal " + std::to_string(value) +
                           " exceeds declared variable count");
       }
@@ -81,9 +95,9 @@ DimacsCnf read_dimacs(std::istream& in) {
     throw std::runtime_error("dimacs: unterminated clause (missing 0)");
   }
   if (static_cast<long>(cnf.clauses.size()) != declared_clauses) {
-    throw std::runtime_error(
-        "dimacs: header declares " + std::to_string(declared_clauses) +
-        " clauses, found " + std::to_string(cnf.clauses.size()));
+    fail(header_line, "header declares " + std::to_string(declared_clauses) +
+                          " clauses, found " +
+                          std::to_string(cnf.clauses.size()));
   }
   return cnf;
 }

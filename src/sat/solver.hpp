@@ -82,9 +82,9 @@ class Solver {
     conflict_budget_ = max_conflicts;
   }
 
-  /// Cooperative cancellation for portfolio racing (sat/backend.hpp): while
-  /// the flag reads true, solve() aborts with kUnknown at the next decision
-  /// or conflict. nullptr (default) disables the check. The pointed-to flag
+  /// Cooperative cancellation, e.g. from a watchdog thread: while the flag
+  /// reads true, solve() aborts with kUnknown at the next decision or
+  /// conflict. nullptr (default) disables the check. The pointed-to flag
   /// must outlive every solve() call.
   void set_interrupt(const std::atomic<bool>* stop) noexcept {
     interrupt_ = stop;
@@ -135,10 +135,9 @@ class Solver {
   void write_dimacs(std::ostream& out) const;
 
   /// The same problem clauses (plus level-0 unit facts) as an in-memory
-  /// CNF over this solver's variable numbering — the handoff format for
-  /// the preprocessor (sat/preprocess.hpp) and the portfolio backends
-  /// (sat/backend.hpp). An unsatisfiable-at-level-0 solver exports the
-  /// empty clause.
+  /// CNF over this solver's variable numbering, which load_into() (in
+  /// sat/dimacs.hpp) reloads into a fresh solver. An
+  /// unsatisfiable-at-level-0 solver exports the empty clause.
   DimacsCnf export_cnf() const;
 
  private:

@@ -77,8 +77,7 @@ TEST(CompoundKeyLayout, MixedGenotypeRoundTripAndSlotMapping) {
   ASSERT_EQ(genes.size(), 8u);  // 4 MUX + 3 RLL + 1 Anti-SAT
 
   util::Rng repair(9);
-  const auto design =
-      lock::compound::apply_genotype(original, context, genes, repair);
+  const auto design = lock::apply_genotype(original, context, genes, repair);
   ASSERT_EQ(design.key.size(), 11u);  // 4 + 3 + 2*2
   ASSERT_EQ(design.netlist.key_inputs().size(), 11u);
 

@@ -26,6 +26,17 @@ DimacsCnf parse(const std::string& text) {
   return read_dimacs(in);
 }
 
+// Expects a std::runtime_error whose message names line 1 (the header).
+void expect_header_rejected(const std::string& text) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1:"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Dimacs, LiteralConversionRoundTrips) {
   for (const int dimacs_lit : {1, -1, 7, -7, 123, -123}) {
     EXPECT_EQ(to_dimacs(from_dimacs(dimacs_lit)), dimacs_lit);
@@ -100,12 +111,23 @@ TEST(Dimacs, RejectsMalformedHeaders) {
   // Clause before header / missing header entirely.
   EXPECT_THROW(parse("1 2 0\n"), std::runtime_error);
   EXPECT_THROW(parse("c only comments\n"), std::runtime_error);
+  // Hostile counts: a clause count nothing may be reserved for, and
+  // variable counts a Lit (2*var+1 in int32) cannot encode, including one
+  // that wraps to a negative int and one that truncates to 1.
+  expect_header_rejected("p cnf 1 999999999999999\n");
+  expect_header_rejected("p cnf 3000000000 0\n");
+  expect_header_rejected("p cnf 4294967297 1\n1 0\n");
+  expect_header_rejected("p cnf 1073741825 0\n");
+  EXPECT_EQ(parse("p cnf 1073741824 0\n").num_vars, 1073741824);
 }
 
 TEST(Dimacs, RejectsMalformedClauses) {
   // Literal exceeding the declared variable count.
   EXPECT_THROW(parse("p cnf 2 1\n1 3 0\n"), std::runtime_error);
   EXPECT_THROW(parse("p cnf 2 1\n-5 0\n"), std::runtime_error);
+  // Below LONG_MIN: strtol clamps, and the range check must not negate it.
+  EXPECT_THROW(parse("p cnf 2 1\n-99999999999999999999999 0\n"),
+               std::runtime_error);
   // Non-integer token.
   EXPECT_THROW(parse("p cnf 2 1\n1 two 0\n"), std::runtime_error);
   // Unterminated clause at EOF.

@@ -266,35 +266,6 @@ TEST(SatAttack, PerIterationStatsTrackFormulaGrowth) {
   }
 }
 
-TEST(SatAttack, PreprocessedAttackAgreesWithPlain) {
-  const Netlist original =
-      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
-  const auto design = lock::rll_lock(original, 16, 7);
-
-  const auto plain = SatAttack().attack(design.netlist, original);
-  SatAttackConfig config;
-  config.preprocess.enabled = true;
-  const auto preprocessed = SatAttack(config).attack(design.netlist, original);
-
-  ASSERT_TRUE(plain.success);
-  ASSERT_TRUE(preprocessed.success);
-  // Different formula, possibly different trajectory — but the canonical
-  // key is trajectory-independent.
-  EXPECT_EQ(preprocessed.recovered_key, plain.recovered_key);
-}
-
-TEST(SatAttack, PortfolioVerificationReportsBackend) {
-  const Netlist original = netlist::gen::c17();
-  const auto design = lock::rll_lock(original, 3, 5);
-  SatAttackConfig config;
-  // Unavailable external binary: the portfolio must fall back to the
-  // in-tree backend and still verify.
-  config.portfolio_command = "autolock-no-such-solver {cnf}";
-  const auto result = SatAttack(config).attack(design.netlist, original);
-  ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.verify_backend, "cdcl");
-}
-
 class SatAttackSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
 };

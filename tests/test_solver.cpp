@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "sat/dimacs.hpp"
@@ -272,6 +273,28 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
   add_pigeonhole(solver, 8);  // hard enough to exceed a tiny budget
   solver.set_conflict_budget(5);
   EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
+}
+
+TEST(Solver, InterruptReturnsUnknown) {
+  // (x | y) & (~x | y) needs a decision, so the flag is checked at least
+  // once before the solve can finish.
+  Solver solver;
+  const Var x = solver.new_var();
+  const Var y = solver.new_var();
+  solver.add_clause({make_lit(x), make_lit(y)});
+  solver.add_clause({make_lit(x, true), make_lit(y)});
+
+  std::atomic<bool> stop{true};  // raised before the solve even starts
+  solver.set_interrupt(&stop);
+  EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
+
+  // The aborted solve leaves the solver usable.
+  stop = false;
+  ASSERT_EQ(solver.solve(), SolveResult::kSat);
+  EXPECT_TRUE(solver.model_value(y));
+  stop = true;
+  solver.set_interrupt(nullptr);
+  EXPECT_EQ(solver.solve(), SolveResult::kSat);
 }
 
 TEST(Solver, StatsAccumulate) {

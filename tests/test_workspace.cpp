@@ -127,7 +127,6 @@ TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
     std::sort(row.begin(), row.end());
     row.erase(std::unique(row.begin(), row.end()), row.end());
   }
-  EXPECT_EQ(graph.adjacency_lists(), reference);
   for (NodeId v = 0; v < n; ++v) {
     const auto span = graph.neighbors(v);
     ASSERT_EQ(std::vector<NodeId>(span.begin(), span.end()), reference[v]);
@@ -185,7 +184,12 @@ TEST(CsrAttackGraph, RebuildReusesStorageAndMatchesFreshBuild) {
   reused.build(design_b.netlist);   // then rebuild for the design under test
   const attack::AttackGraph fresh(design_b.netlist);
 
-  EXPECT_EQ(reused.adjacency_lists(), fresh.adjacency_lists());
+  for (NodeId v = 0; v < design_b.netlist.size(); ++v) {
+    const auto row = reused.neighbors(v);
+    const auto expected = fresh.neighbors(v);
+    ASSERT_EQ(std::vector<NodeId>(row.begin(), row.end()),
+              std::vector<NodeId>(expected.begin(), expected.end()));
+  }
   ASSERT_EQ(reused.known_links().size(), fresh.known_links().size());
   for (std::size_t i = 0; i < fresh.known_links().size(); ++i) {
     EXPECT_EQ(reused.known_links()[i].u, fresh.known_links()[i].u);
