@@ -27,15 +27,14 @@ int main(int argc, char** argv) {
   // structural attack, constructed by registry name. Single-trajectory
   // searches disable the cache (they budget proposals, not unique
   // genotypes); the GA keeps it.
-  const auto make_pipeline_config = [&](std::uint64_t seed, bool cache,
-                                        std::uint64_t repair_salt) {
+  const auto make_pipeline_config = [&](std::uint64_t seed, bool cache) {
     eval::EvalPipelineConfig config;
     config.attacks = {"structural"};
     config.seed = seed;
     config.cache = cache;
-    config.repair_salt = repair_salt;
     return config;
   };
+  const lock::GenotypeSpec spec{.mux_sites = key_bits};
 
   util::Table table({"heuristic", "final fitness (mean)",
                      "final attack acc (mean)", "fitness @ budget/2",
@@ -50,9 +49,8 @@ int main(int argc, char** argv) {
       config.generations = budget / 12 - 1;
       config.seed = seed;
       ga::GeneticAlgorithm engine(original, config);
-      eval::EvalPipeline pipeline(
-          original, make_pipeline_config(seed, true, 0xDEC0DEULL));
-      const auto result = engine.run(key_bits, pipeline);
+      eval::EvalPipeline pipeline(original, make_pipeline_config(seed, true));
+      const auto result = engine.run(spec, pipeline);
       final_fit.add(result.best.eval.fitness);
       final_acc.add(result.best.eval.attack_accuracy);
       half_fit.add(result.history[result.history.size() / 2].best_fitness);
@@ -83,25 +81,22 @@ int main(int argc, char** argv) {
     ga::AnnealingConfig config;
     config.evaluations = budget;
     config.seed = seed;
-    eval::EvalPipeline pipeline(original,
-                                make_pipeline_config(seed, false, 0xE7A1ULL));
-    return ga::simulated_annealing(pipeline, key_bits, config);
+    eval::EvalPipeline pipeline(original, make_pipeline_config(seed, false));
+    return ga::simulated_annealing(pipeline, spec, config);
   });
   add_heuristic("hill climbing", [&](std::uint64_t seed) {
     ga::HillClimbConfig config;
     config.evaluations = budget;
     config.seed = seed;
-    eval::EvalPipeline pipeline(original,
-                                make_pipeline_config(seed, false, 0xE7A1ULL));
-    return ga::hill_climb(pipeline, key_bits, config);
+    eval::EvalPipeline pipeline(original, make_pipeline_config(seed, false));
+    return ga::hill_climb(pipeline, spec, config);
   });
   add_heuristic("random search", [&](std::uint64_t seed) {
     ga::RandomSearchConfig config;
     config.evaluations = budget;
     config.seed = seed;
-    eval::EvalPipeline pipeline(original,
-                                make_pipeline_config(seed, false, 0xE7A1ULL));
-    return ga::random_search(pipeline, key_bits, config);
+    eval::EvalPipeline pipeline(original, make_pipeline_config(seed, false));
+    return ga::random_search(pipeline, spec, config);
   });
 
   benchx::emit(table, args,

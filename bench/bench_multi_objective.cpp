@@ -33,11 +33,10 @@ int main(int argc, char** argv) {
   pipeline_config.corruption_objective = true;
   pipeline_config.corruption_vectors = 256;
   pipeline_config.seed = config.seed;
-  pipeline_config.repair_salt = 0x2D5642ULL;  // NSGA-II's decode salt
   eval::EvalPipeline pipeline(original, std::move(pipeline_config));
 
   util::Timer timer;
-  const ga::Nsga2Result result = engine.run(key_bits, pipeline);
+  const ga::Nsga2Result result = engine.run({.mux_sites = key_bits}, pipeline);
 
   util::Table front({"front member", "structural acc (min)",
                      "1 - corruption (min)", "GNN MuxLink acc (post-hoc)"});
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
   const auto gnn = eval::make_attack("muxlink", gnn_options);
   int member = 0;
   for (const auto& individual : result.front) {
-    const auto design = engine.decode(individual.genes);
+    const auto design = pipeline.decode(individual.genes);
     const double gnn_acc = gnn->evaluate(design).accuracy;
     front.add_row({std::to_string(member++),
                    util::fmt_pct(individual.objectives[0]),

@@ -30,14 +30,6 @@ eval::EvalPipelineConfig AutoLock::pipeline_config() const {
   return pipeline;
 }
 
-ga::Evaluation AutoLock::evaluate(const lock::LockedDesign& design,
-                                  const netlist::Netlist& original) const {
-  eval::EvalPipelineConfig config = pipeline_config();
-  config.threads = 1;
-  const eval::EvalPipeline pipeline(original, std::move(config));
-  return pipeline.score(design);
-}
-
 AutoLockReport AutoLock::run(const netlist::Netlist& original,
                              std::size_t key_bits) {
   util::Timer timer;
@@ -60,17 +52,11 @@ AutoLockReport AutoLock::run(const netlist::Netlist& original,
   report.reached_target = ga_result.reached_target;
   if (!report.history.empty()) {
     report.initial_best_accuracy = report.history.front().best_accuracy;
-    // Mean accuracy of generation 0 == 1 - mean fitness when the corruption
-    // term is disabled; recompute defensively from fitness only in that
-    // case, otherwise fall back to best accuracy.
-    report.initial_mean_accuracy =
-        config_.corruption_weight == 0.0
-            ? 1.0 - report.history.front().mean_fitness
-            : report.history.front().best_accuracy;
+    report.initial_mean_accuracy = report.history.front().mean_accuracy;
   }
   report.final_accuracy = ga_result.best.eval.attack_accuracy;
   report.accuracy_drop = report.initial_mean_accuracy - report.final_accuracy;
-  report.locked = engine.decode(ga_result.best.genes);
+  report.locked = pipeline.decode(ga_result.best.genes);
   report.locked.netlist.set_name(original.name() + "_autolock");
   report.seconds = timer.elapsed_seconds();
   util::log_info("AutoLock(", original.name(), ", K=", key_bits,

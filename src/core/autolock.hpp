@@ -81,16 +81,10 @@ class AutoLock {
 
   const AutoLockConfig& config() const noexcept { return config_; }
 
-  /// The evaluation pipeline AutoLock wires into the GA (exposed so benches
-  /// and the multi-objective driver can reuse identical semantics by
-  /// constructing an eval::EvalPipeline from it).
+  /// The evaluation pipeline configuration AutoLock wires into the GA.
+  /// Scoring a design with AutoLock's fitness semantics is
+  /// eval::EvalPipeline(original, pipeline_config()).score(design).
   eval::EvalPipelineConfig pipeline_config() const;
-
-  /// One-off evaluation of a decoded design with this config's fitness
-  /// semantics (builds a temporary pipeline; use pipeline_config() for
-  /// anything hot).
-  ga::Evaluation evaluate(const lock::LockedDesign& design,
-                          const netlist::Netlist& original) const;
 
  private:
   AutoLockConfig config_;

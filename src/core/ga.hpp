@@ -6,9 +6,7 @@
 // plus optional RLL and Anti-SAT genes for compound locking. Decoding
 // (apply_genotype) produces the locked netlist; the fitness function runs
 // an attack on it ("the fitness of each genotype is measured by MuxLink
-// accuracy, where lower accuracy indicates higher fitness"). MUX-only runs
-// (the run(key_bits, ...) overloads) reproduce the historical MUX-only
-// trajectories bit for bit.
+// accuracy, where lower accuracy indicates higher fitness").
 //
 // Operators (paper §II: selection, crossover, mutation):
 //   selection: tournament or roulette-wheel
@@ -21,9 +19,8 @@
 //
 // Evaluation (genotype decode, attack scoring, the collision-safe fitness
 // cache that skips elites and duplicate offspring, and thread-pool fan-out)
-// lives in eval::EvalPipeline — the GA only runs the evolutionary loop. The
-// FitnessFn overload of run() is a convenience wrapper that builds a
-// single-use pipeline around the callback.
+// lives in eval::EvalPipeline — the GA only runs the evolutionary loop.
+// Genotypes are drawn and varied against the pipeline's SiteContext.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +30,8 @@
 #include <vector>
 
 #include "locking/mux_lock.hpp"
-#include "locking/sites.hpp"
 #include "netlist/netlist.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autolock::eval {
 class EvalPipeline;
@@ -76,9 +71,10 @@ struct Evaluation {
   double corruption = 0.0;       // wrong-key output error rate (if measured)
 };
 
-/// Fitness callback: receives the decoded locked design (sites already
-/// repaired and consistent with the genotype). Must be thread-safe — it is
-/// invoked concurrently for different individuals.
+/// Custom scalar fitness (eval::EvalPipelineConfig::fitness_override):
+/// receives the decoded locked design (sites already repaired and
+/// consistent with the genotype). Must be thread-safe — it is invoked
+/// concurrently for different individuals.
 using FitnessFn = std::function<Evaluation(const lock::LockedDesign&)>;
 
 struct Individual {
@@ -92,6 +88,7 @@ struct GenerationStats {
   double mean_fitness = 0.0;
   double worst_fitness = 0.0;
   double best_accuracy = 1.0;  // attack accuracy of the best individual
+  double mean_accuracy = 1.0;  // mean attack accuracy of the population
   std::size_t cache_hits = 0;
 };
 
@@ -119,28 +116,19 @@ class GeneticAlgorithm {
   /// run({.mux_sites = key_bits}, ...).
   GaResult run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
 
-  /// Convenience wrapper: builds a sequential single-use EvalPipeline around
-  /// `fitness` (borrowing `pool` for population fan-out when given) and runs.
-  GaResult run(std::size_t key_bits, const FitnessFn& fitness,
-               util::ThreadPool* pool = nullptr);
-
-  /// Decodes a genotype exactly like the GA does internally (for callers
-  /// that want the netlist of a returned individual).
+  /// Decodes a genotype exactly like an EvalPipeline seeded with
+  /// config().seed does (for callers without that pipeline at hand). Builds
+  /// a SiteContext per call; hot paths decode through the pipeline.
   lock::LockedDesign decode(const Genotype& genes,
                             std::uint64_t repair_seed = 0) const;
 
   const GaConfig& config() const noexcept { return config_; }
-  const lock::SiteContext& context() const noexcept { return context_; }
 
  private:
   Genotype select_parent(const std::vector<Individual>& population,
                          util::Rng& rng) const;
-  std::pair<Genotype, Genotype> crossover(const Genotype& a, const Genotype& b,
-                                          util::Rng& rng) const;
-  void mutate(Genotype& genes, util::Rng& rng) const;
 
   const netlist::Netlist* original_;
-  lock::SiteContext context_;
   GaConfig config_;
 };
 

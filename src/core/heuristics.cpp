@@ -28,20 +28,6 @@ struct PipelineEvaluator {
   }
 };
 
-/// Builds the single-use pipeline backing the FitnessFn overloads. Caching
-/// is off: single-trajectory searches budget proposals, not unique
-/// genotypes, and re-proposing a visited genotype must still cost (and
-/// count as) one evaluation.
-eval::EvalPipelineConfig wrap_fitness(const FitnessFn& fitness,
-                                      std::uint64_t seed) {
-  eval::EvalPipelineConfig config;
-  config.fitness_override = fitness;
-  config.seed = seed;
-  config.repair_salt = 0xE7A1ULL;
-  config.cache = false;
-  return config;
-}
-
 /// Single-gene neighbourhood move shared by hill climbing and annealing;
 /// dispatches on the gene kind through the shared GeneOps operators.
 void mutate_one_gene(Genotype& genes, const SiteContext& context,
@@ -69,20 +55,6 @@ HeuristicResult random_search(eval::EvalPipeline& pipeline,
   }
   result.evaluations = evaluator.evaluations;
   return result;
-}
-
-HeuristicResult random_search(eval::EvalPipeline& pipeline,
-                              std::size_t key_bits,
-                              const RandomSearchConfig& config) {
-  return random_search(pipeline, lock::GenotypeSpec{.mux_sites = key_bits},
-                       config);
-}
-
-HeuristicResult random_search(const netlist::Netlist& original,
-                              std::size_t key_bits, const FitnessFn& fitness,
-                              const RandomSearchConfig& config) {
-  eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return random_search(pipeline, key_bits, config);
 }
 
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
@@ -127,19 +99,6 @@ HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
   return result;
 }
 
-HeuristicResult hill_climb(eval::EvalPipeline& pipeline, std::size_t key_bits,
-                           const HillClimbConfig& config) {
-  return hill_climb(pipeline, lock::GenotypeSpec{.mux_sites = key_bits},
-                    config);
-}
-
-HeuristicResult hill_climb(const netlist::Netlist& original,
-                           std::size_t key_bits, const FitnessFn& fitness,
-                           const HillClimbConfig& config) {
-  eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return hill_climb(pipeline, key_bits, config);
-}
-
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
                                     const AnnealingConfig& config) {
@@ -176,21 +135,6 @@ HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
   }
   result.evaluations = evaluator.evaluations;
   return result;
-}
-
-HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
-                                    std::size_t key_bits,
-                                    const AnnealingConfig& config) {
-  return simulated_annealing(pipeline,
-                             lock::GenotypeSpec{.mux_sites = key_bits}, config);
-}
-
-HeuristicResult simulated_annealing(const netlist::Netlist& original,
-                                    std::size_t key_bits,
-                                    const FitnessFn& fitness,
-                                    const AnnealingConfig& config) {
-  eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return simulated_annealing(pipeline, key_bits, config);
 }
 
 }  // namespace autolock::ga

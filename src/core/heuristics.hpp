@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "core/ga.hpp"
-#include "locking/mux_lock.hpp"
-#include "netlist/netlist.hpp"
+#include "locking/gene.hpp"
 
 namespace autolock::eval {
 class EvalPipeline;
@@ -38,24 +37,12 @@ struct RandomSearchConfig {
 };
 
 /// Draws `evaluations` independent random genotypes and keeps the best.
-/// All heuristics evaluate through an eval::EvalPipeline; the FitnessFn
-/// overloads wrap the callback in a single-use pipeline. Pipeline overloads
-/// expect a pipeline built on the same original netlist with caching
-/// disabled (every proposal counts as one evaluation).
-///
-/// Like the GA and NSGA-II, every heuristic has a scheme-polymorphic
-/// GenotypeSpec overload (proposals drawn by random_genotype(context, spec,
-/// rng), moves dispatched per gene kind); the key_bits overloads are exactly
-/// the pure-MUX spec {.mux_sites = key_bits} and keep their historical
-/// trajectories (a pure-MUX spec draws the identical RNG stream).
+/// Every heuristic evaluates through `pipeline` and expects it built with
+/// caching disabled (every proposal counts as one evaluation). Proposals
+/// are random_genotype(pipeline.context(), spec, rng) draws, and moves
+/// dispatch per gene kind, as in the GA and NSGA-II.
 HeuristicResult random_search(eval::EvalPipeline& pipeline,
                               const lock::GenotypeSpec& spec,
-                              const RandomSearchConfig& config);
-HeuristicResult random_search(eval::EvalPipeline& pipeline,
-                              std::size_t key_bits,
-                              const RandomSearchConfig& config);
-HeuristicResult random_search(const netlist::Netlist& original,
-                              std::size_t key_bits, const FitnessFn& fitness,
                               const RandomSearchConfig& config);
 
 struct HillClimbConfig {
@@ -72,11 +59,6 @@ struct HillClimbConfig {
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
                            const lock::GenotypeSpec& spec,
                            const HillClimbConfig& config);
-HeuristicResult hill_climb(eval::EvalPipeline& pipeline, std::size_t key_bits,
-                           const HillClimbConfig& config);
-HeuristicResult hill_climb(const netlist::Netlist& original,
-                           std::size_t key_bits, const FitnessFn& fitness,
-                           const HillClimbConfig& config);
 
 struct AnnealingConfig {
   std::size_t evaluations = 100;
@@ -90,13 +72,6 @@ struct AnnealingConfig {
 /// Classic simulated annealing (Metropolis criterion on fitness delta).
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
-                                    const AnnealingConfig& config);
-HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
-                                    std::size_t key_bits,
-                                    const AnnealingConfig& config);
-HeuristicResult simulated_annealing(const netlist::Netlist& original,
-                                    std::size_t key_bits,
-                                    const FitnessFn& fitness,
                                     const AnnealingConfig& config);
 
 }  // namespace autolock::ga

@@ -7,6 +7,8 @@
 // environmental selection. Variation operators are shared with the
 // single-objective GA. All objectives are MINIMIZED; callers typically use
 //   { MuxLink accuracy, structural-attack accuracy, 1 - corruption }.
+// Evaluation runs through the eval::EvalPipeline passed to run(); decode a
+// front member with that pipeline's decode().
 #pragma once
 
 #include <cstdint>
@@ -16,7 +18,6 @@
 #include "core/ga.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autolock::eval {
 class EvalPipeline;
@@ -24,8 +25,8 @@ class EvalPipeline;
 
 namespace autolock::ga {
 
-/// Multi-objective fitness: returns one value per objective, all minimized.
-/// Must be thread-safe.
+/// Custom objective vector (eval::EvalPipelineConfig::objectives_override):
+/// one value per objective, all minimized. Must be thread-safe.
 using MultiFitnessFn =
     std::function<std::vector<double>(const lock::LockedDesign&)>;
 
@@ -58,23 +59,11 @@ class Nsga2 {
  public:
   Nsga2(const netlist::Netlist& original, Nsga2Config config);
 
-  /// Runs NSGA-II with all evaluation through `pipeline` (built on the same
-  /// original netlist); the objective count is pipeline.num_objectives().
-  Nsga2Result run(std::size_t key_bits, eval::EvalPipeline& pipeline);
-
-  /// Scheme-polymorphic variant: seeds from random mixed genotypes of
-  /// `spec`'s shape; operators dispatch per gene kind via core/gene_ops.hpp.
-  /// run(key_bits, ...) is exactly run({.mux_sites = key_bits}, ...).
+  /// Runs NSGA-II from random genotypes of `spec`'s shape, with all
+  /// evaluation through `pipeline` (built on the same original netlist; the
+  /// objective count is pipeline.num_objectives()). Operators dispatch per
+  /// gene kind via core/gene_ops.hpp.
   Nsga2Result run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
-
-  /// Convenience wrapper: builds a sequential single-use EvalPipeline around
-  /// `fitness` (borrowing `pool` when given) and runs.
-  Nsga2Result run(std::size_t key_bits, std::size_t num_objectives,
-                  const MultiFitnessFn& fitness,
-                  util::ThreadPool* pool = nullptr);
-
-  lock::LockedDesign decode(const Genotype& genes,
-                            std::uint64_t repair_seed = 0) const;
 
   /// True iff `a` Pareto-dominates `b` (<= everywhere, < somewhere).
   static bool dominates(const std::vector<double>& a,
@@ -90,7 +79,6 @@ class Nsga2 {
 
  private:
   const netlist::Netlist* original_;
-  lock::SiteContext context_;
   Nsga2Config config_;
 };
 

@@ -68,11 +68,6 @@ class FitnessCache {
     return map_.size();
   }
 
-  void clear() {
-    const std::scoped_lock lock(mutex_);
-    map_.clear();
-  }
-
  private:
   mutable std::mutex mutex_;
   std::unordered_map<Genotype, Value, Hash> map_;

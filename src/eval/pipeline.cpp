@@ -47,14 +47,14 @@ std::size_t EvalPipeline::num_objectives() const noexcept {
 
 LockedDesign EvalPipeline::decode(const ga::Genotype& genes,
                                   std::uint64_t repair_seed) const {
-  util::Rng repair_rng(config_.seed ^ repair_seed ^ config_.repair_salt);
+  util::Rng repair_rng(config_.seed ^ repair_seed ^ kRepairSalt);
   return lock::apply_genotype(*original_, context_, genes, repair_rng);
 }
 
 void EvalPipeline::decode_into(EvalWorkspace& workspace,
                                const ga::Genotype& genes,
                                std::uint64_t repair_seed) const {
-  util::Rng repair_rng(config_.seed ^ repair_seed ^ config_.repair_salt);
+  util::Rng repair_rng(config_.seed ^ repair_seed ^ kRepairSalt);
   lock::apply_genotype_into(workspace.design, *original_, context_, genes,
                             repair_rng, workspace.reach);
 }
@@ -65,17 +65,6 @@ void EvalPipeline::grow_workspace_pool(std::size_t count) {
     workspace->reserve(*original_, /*key_bits=*/64);
     workspaces_.push_back(std::move(workspace));
   }
-}
-
-std::vector<AttackReport> EvalPipeline::reports(
-    const LockedDesign& design) const {
-  EvalWorkspace workspace;
-  std::vector<AttackReport> result;
-  result.reserve(attacks_.size());
-  for (const auto& attack : attacks_) {
-    result.push_back(attack->evaluate(design, workspace));
-  }
-  return result;
 }
 
 const EvalPipeline::OracleBlocks& EvalPipeline::oracle_blocks(
@@ -263,31 +252,6 @@ ga::Evaluation EvalPipeline::evaluate(ga::Genotype& genes,
   return eval;
 }
 
-std::vector<double> EvalPipeline::evaluate_objectives(
-    ga::Genotype& genes, std::uint64_t repair_seed) {
-  if (config_.cache) {
-    std::vector<double> hit;
-    if (objective_cache_.lookup(genes, hit)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-  }
-  ga::Genotype pre_repair;
-  if (config_.cache) pre_repair = genes;
-  grow_workspace_pool(1);
-  EvalWorkspace& workspace = *workspaces_.front();
-  decode_into(workspace, genes, repair_seed);
-  genes = workspace.design.genes;
-  std::vector<double> objectives =
-      score_objectives(workspace.design, &workspace);
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.cache) {
-    objective_cache_.store(pre_repair, objectives);
-    if (genes != pre_repair) objective_cache_.store(genes, objectives);
-  }
-  return objectives;
-}
-
 util::ThreadPool* EvalPipeline::worker_pool() {
   if (config_.pool != nullptr) return config_.pool;
   if (owned_pool_ != nullptr) return owned_pool_.get();
@@ -394,11 +358,6 @@ EvalPipeline::BatchStats EvalPipeline::evaluate_population(
       [this](const LockedDesign& design, EvalWorkspace& workspace) {
         return score_objectives(design, &workspace);
       });
-}
-
-void EvalPipeline::clear_cache() {
-  scalar_cache_.clear();
-  objective_cache_.clear();
 }
 
 }  // namespace autolock::eval

@@ -15,9 +15,10 @@
 //   - one shared oracle Simulator serves every corruption measurement and
 //     oracle-guided attack instead of being rebuilt per individual.
 //
-// Custom fitness callbacks (tests, synthetic objectives) plug in through
-// fitness_override / objectives_override and ride the same cache and
-// fan-out machinery.
+// Optimizers take the pipeline they are given and evaluate nothing else.
+// A custom fitness (tests, synthetic objectives) is a pipeline built with
+// fitness_override / objectives_override; it rides the same decode, cache
+// and fan-out machinery.
 #pragma once
 
 #include <atomic>
@@ -39,6 +40,10 @@
 #include "util/thread_pool.hpp"
 
 namespace autolock::eval {
+
+/// Salt XORed with the configured seed and the per-genotype repair seed to
+/// seed decode-time gene repair.
+inline constexpr std::uint64_t kRepairSalt = 0xDEC0DEULL;
 
 struct EvalPipelineConfig {
   /// Registry names of the attacks to run per evaluation. The scalar
@@ -76,12 +81,9 @@ struct EvalPipelineConfig {
   /// heuristics count proposals, not unique genotypes).
   bool cache = true;
 
-  /// Base seed for decode-time gene repair; optimizers pass their own seed
-  /// so runs stay reproducible.
+  /// Base seed for decode-time gene repair and corruption probing;
+  /// optimizers pass their own seed so runs stay reproducible.
   std::uint64_t seed = 0;
-  /// Salt XORed into the repair RNG; each optimizer keeps its historical
-  /// constant so refactoring onto the pipeline left trajectories unchanged.
-  std::uint64_t repair_salt = 0xDEC0DEULL;
 
   /// Custom scalar fitness; replaces the attack list. Must be thread-safe.
   ga::FitnessFn fitness_override;
@@ -124,8 +126,6 @@ class EvalPipeline {
 
   // ---- scoring an already-decoded design (no cache) ----------------------
 
-  /// Runs every configured attack and returns the raw reports.
-  std::vector<AttackReport> reports(const lock::LockedDesign& design) const;
   /// Scalar fitness of a design: 1 - mean accuracy (+ corruption term).
   /// The attacks and the corruption measurement run through `workspace`'s
   /// scratch state; a null `workspace` means a local one for this call.
@@ -148,15 +148,14 @@ class EvalPipeline {
 
   // ---- cached genotype evaluation ----------------------------------------
 
-  /// Decode + score one genotype; repaired genes are written back. Cache
+  /// Decode + score one genotype (scalar fitness); repaired genes are
+  /// written back. Cache
   /// lookups use the pre-repair genes; results are stored under BOTH the
   /// pre-repair and the repaired genes, so a later duplicate of the
   /// original (unrepaired) genotype still hits. Not safe for concurrent
   /// callers — parallelism belongs inside evaluate_population, which fans
   /// one batch out over the pool.
   ga::Evaluation evaluate(ga::Genotype& genes, std::uint64_t repair_seed = 0);
-  std::vector<double> evaluate_objectives(ga::Genotype& genes,
-                                          std::uint64_t repair_seed = 0);
 
   struct BatchStats {
     std::size_t cache_hits = 0;
@@ -199,7 +198,6 @@ class EvalPipeline {
   std::size_t corruption_sweeps() const noexcept {
     return corruption_sweeps_.load();
   }
-  void clear_cache();
 
  private:
   util::ThreadPool* worker_pool();

@@ -1,5 +1,6 @@
 #include "sat/dimacs.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -123,10 +124,15 @@ void write_dimacs_file(const std::string& path, const DimacsCnf& cnf) {
 }
 
 bool load_into(Solver& solver, const DimacsCnf& cnf) {
-  solver.reserve_vars(static_cast<std::size_t>(cnf.num_vars));
-  while (solver.num_vars() < static_cast<std::size_t>(cnf.num_vars)) {
-    solver.new_var();
+  std::size_t used_vars = 0;
+  for (const auto& clause : cnf.clauses) {
+    for (const Lit lit : clause) {
+      used_vars =
+          std::max(used_vars, static_cast<std::size_t>(lit_var(lit)) + 1);
+    }
   }
+  solver.reserve_vars(used_vars);
+  while (solver.num_vars() < used_vars) solver.new_var();
   bool ok = true;
   for (const auto& clause : cnf.clauses) {
     ok = solver.add_clause(clause) && ok;

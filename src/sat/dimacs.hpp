@@ -44,9 +44,11 @@ DimacsCnf read_dimacs_file(const std::string& path);
 void write_dimacs(std::ostream& out, const DimacsCnf& cnf);
 void write_dimacs_file(const std::string& path, const DimacsCnf& cnf);
 
-/// Declares any missing variables on `solver` and adds every clause.
-/// Returns false if the formula is unsatisfiable at level 0 (same contract
-/// as Solver::add_clause).
+/// Declares missing variables on `solver` up to the highest one a clause
+/// references, then adds every clause. Variables the header declares but no
+/// clause uses are unconstrained and are not created, so a large header
+/// costs nothing. Returns false if the formula is unsatisfiable at level 0
+/// (same contract as Solver::add_clause).
 bool load_into(Solver& solver, const DimacsCnf& cnf);
 
 }  // namespace autolock::sat

@@ -64,9 +64,28 @@ TEST(AutoLock, CorruptionTermAddsToFitness) {
   config.corruption_weight = 0.3;
   AutoLock driver(config);
   const lock::LockedDesign design = lock::dmux_lock(original, 8, 3);
-  const ga::Evaluation eval = driver.evaluate(design, original);
+  const eval::EvalPipeline pipeline(original, driver.pipeline_config());
+  const ga::Evaluation eval = pipeline.score(design);
   EXPECT_GE(eval.corruption, 0.0);
   EXPECT_GE(eval.fitness, 1.0 - eval.attack_accuracy - 1e-12);
+}
+
+TEST(AutoLock, InitialMeanAccuracyIsGenerationZeroMeanUnderCorruption) {
+  // With a corruption term the fittest gen-0 individual is not simply the
+  // least attackable one, so the mean accuracy must come from the
+  // population's accuracies, not from fitness or the best individual.
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 9);
+  AutoLockConfig config = fast_config(17);
+  config.corruption_weight = 0.3;
+  config.corruption_vectors = 64;
+  config.ga.generations = 1;
+  AutoLock driver(config);
+  const AutoLockReport report = driver.run(original, 8);
+  ASSERT_FALSE(report.history.empty());
+  EXPECT_EQ(report.initial_mean_accuracy,
+            report.history.front().mean_accuracy);
+  EXPECT_GT(report.initial_mean_accuracy, report.initial_best_accuracy);
 }
 
 TEST(AutoLock, GnnFitnessPathWorks) {

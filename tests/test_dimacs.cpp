@@ -137,6 +137,25 @@ TEST(Dimacs, RejectsMalformedClauses) {
   EXPECT_THROW(parse("p cnf 2 1\n1 0\n2 0\n"), std::runtime_error);
 }
 
+TEST(Dimacs, LoadCreatesOnlyReferencedVariables) {
+  // Declared-but-unused variables are unconstrained: loading creates the
+  // solver variables up to the highest one a clause references, no more.
+  const DimacsCnf cnf = parse("p cnf 100000 1\n1 -2 0\n");
+  EXPECT_EQ(cnf.num_vars, 100000);
+  Solver solver;
+  ASSERT_TRUE(load_into(solver, cnf));
+  EXPECT_EQ(solver.num_vars(), 2u);
+  EXPECT_EQ(solver.solve(), SolveResult::kSat);
+
+  // The largest legal header with no clauses loads without creating any.
+  const DimacsCnf huge = parse("p cnf 1073741824 0\n");
+  EXPECT_EQ(huge.num_vars, 1 << 30);
+  Solver empty;
+  ASSERT_TRUE(load_into(empty, huge));
+  EXPECT_EQ(empty.num_vars(), 0u);
+  EXPECT_EQ(empty.solve(), SolveResult::kSat);
+}
+
 TEST(Dimacs, EmptyClauseIsReadAndUnsat) {
   const DimacsCnf cnf = parse("p cnf 1 2\n1 0\n0\n");
   ASSERT_EQ(cnf.clauses.size(), 2u);

@@ -4,12 +4,26 @@
 
 #include <cmath>
 
+#include "eval/pipeline.hpp"
 #include "netlist/generator.hpp"
 
 namespace autolock::ga {
 namespace {
 
 using netlist::Netlist;
+
+/// A pipeline scoring `num_objectives` synthetic objectives, seeded like the
+/// engine. Cache off: every offspring costs one evaluation.
+eval::EvalPipelineConfig objectives_config(const MultiFitnessFn& fitness,
+                                           std::size_t num_objectives,
+                                           std::uint64_t seed) {
+  eval::EvalPipelineConfig config;
+  config.objectives_override = fitness;
+  config.objectives_override_arity = num_objectives;
+  config.seed = seed;
+  config.cache = false;
+  return config;
+}
 
 TEST(Nsga2Static, DominatesBasic) {
   EXPECT_TRUE(Nsga2::dominates({0.0, 0.0}, {1.0, 1.0}));
@@ -95,7 +109,9 @@ TEST(Nsga2, EvolvesTowardBothObjectives) {
     const double frac = ones / static_cast<double>(design.key.size());
     return std::vector<double>{1.0 - frac, frac};
   };
-  const Nsga2Result result = engine.run(12, 2, fitness);
+  eval::EvalPipeline pipeline(original,
+                              objectives_config(fitness, 2, config.seed));
+  const Nsga2Result result = engine.run({.mux_sites = 12}, pipeline);
   EXPECT_FALSE(result.front.empty());
   EXPECT_GT(result.evaluations, 16u);
   // Front members are mutually non-dominating.
@@ -115,7 +131,8 @@ TEST(Nsga2, ObjectiveCountMismatchThrows) {
   const MultiFitnessFn bad = [](const lock::LockedDesign&) {
     return std::vector<double>{1.0};
   };
-  EXPECT_THROW(engine.run(8, 2, bad), std::runtime_error);
+  eval::EvalPipeline pipeline(original, objectives_config(bad, 2, 0));
+  EXPECT_THROW(engine.run({.mux_sites = 8}, pipeline), std::runtime_error);
 }
 
 TEST(Nsga2, FrontGenotypesDecodeValid) {
@@ -130,9 +147,11 @@ TEST(Nsga2, FrontGenotypesDecodeValid) {
     for (bool bit : design.key) ones += bit ? 1.0 : 0.0;
     return std::vector<double>{ones, design.key.size() - ones};
   };
-  const Nsga2Result result = engine.run(6, 2, fitness);
+  eval::EvalPipeline pipeline(original,
+                              objectives_config(fitness, 2, config.seed));
+  const Nsga2Result result = engine.run({.mux_sites = 6}, pipeline);
   for (const auto& individual : result.front) {
-    const auto design = engine.decode(individual.genes);
+    const auto design = pipeline.decode(individual.genes);
     EXPECT_EQ(design.key.size(), 6u);
     EXPECT_NO_THROW(design.netlist.validate());
   }

@@ -367,7 +367,7 @@ TEST(WorkspacePipeline, Nsga2FrontsMatchReferenceScorer) {
                                     ? reference_mix(original, config.seed)
                                     : attack_mix(config.seed));
     ga::Nsga2 nsga2(original, config);
-    results[use_reference ? 1 : 0] = nsga2.run(8, pipeline);
+    results[use_reference ? 1 : 0] = nsga2.run({.mux_sites = 8}, pipeline);
   }
   EXPECT_EQ(results[1].evaluations, results[0].evaluations);
   EXPECT_EQ(results[1].front_size_history, results[0].front_size_history);
@@ -453,7 +453,7 @@ TEST(WorkspacePipeline, PinnedNsga2Trajectory) {
   config.seed = 2025;
   eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::Nsga2 nsga2(original, config);
-  const auto result = nsga2.run(10, pipeline);
+  const auto result = nsga2.run({.mux_sites = 10}, pipeline);
 
   EXPECT_EQ(result.evaluations, 32u);
   const std::vector<std::size_t> expected_front_sizes = {1, 2, 3, 7};
