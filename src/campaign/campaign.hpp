@@ -98,15 +98,9 @@ struct CampaignSpec {
   std::size_t threads = 1;
 
   // ---- verification stage -------------------------------------------------
-  /// SAT miter proof of correct-key equivalence per lock job.
+  /// Proof of correct-key equivalence per lock job (sat::check_unlocks), at
+  /// every circuit size.
   bool verify_equivalence = true;
-  /// Above this original-gate count the equivalence check switches from the
-  /// SAT miter to seeded random-vector simulation (lock::verify_unlocks):
-  /// monolithic CNF equivalence on a 100k-gate miter is intractable for a
-  /// plain CDCL solver (no sweeping/fraiging), the same reason bench_scale
-  /// runs its SAT attack on c880 only. Simulation is still deterministic in
-  /// the axis seed, so the report stays byte-stable.
-  std::size_t sat_equivalence_gate_limit = 20000;
   /// Re-run every attack and require a field-identical report.
   bool verify_determinism = true;
   /// Wrong keys / shared vectors for the corruption measurement per lock.

@@ -1,7 +1,9 @@
 #include "sat/cnf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace autolock::sat {
 
@@ -194,16 +196,280 @@ Var make_miter(Solver& solver, const Encoding& a, const Encoding& b) {
   return miter;
 }
 
-std::vector<Var> pin_constants(Solver& solver, const std::vector<bool>& bits) {
-  std::vector<Var> vars;
-  vars.reserve(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const Var v = solver.new_var();
-    solver.add_clause(make_lit(v, !bits[i]));
-    vars.push_back(v);
+// ---------------------------------------------------------------------------
+// check_equivalent: key-folded, structurally hashed miter
+
+namespace {
+
+/// A structurally hashed AND / XOR / MUX graph (an AIG extended with XOR
+/// and MUX nodes). An edge packs (node, complemented) like a solver
+/// literal; node 0 is constant false, so edges 0 and 1 are the constants.
+/// Every make_* call folds constants and trivial identities, puts its
+/// fanins in a canonical order and polarity, and returns the existing node
+/// when the normalized (op, fanins) was built before, so two copies of the
+/// same logic share one node. Node ids are topological.
+class Strash {
+ public:
+  using Edge = std::uint32_t;
+  static constexpr Edge kFalse = 0;
+  static constexpr Edge kTrue = 1;
+
+  /// `max_nodes` bounds the nodes the graph will ever hold; the hash table
+  /// is sized once from it.
+  explicit Strash(std::size_t max_nodes)
+      : table_(std::bit_ceil(2 * max_nodes), 0), mask_(table_.size() - 1) {
+    nodes_.push_back({Op::kConst, 0, 0, 0});
   }
-  return vars;
+
+  /// Upper bound on the nodes add_netlist creates for `netlist`: an n-ary
+  /// gate chains through at most n - 1 binary nodes, a MUX makes one.
+  static std::size_t node_bound(const Netlist& netlist) {
+    std::size_t bound = 0;
+    for (NodeId v = 0; v < netlist.size(); ++v) {
+      bound += std::max<std::size_t>(1, netlist.node(v).fanins.size());
+    }
+    return bound;
+  }
+
+  Edge input() {
+    nodes_.push_back({Op::kInput, 0, 0, 0});
+    return 2 * static_cast<Edge>(nodes_.size() - 1);
+  }
+
+  /// The output edges of `netlist` with its primary inputs bound to
+  /// `inputs` and its key inputs folded to the constants `key`.
+  std::vector<Edge> add_netlist(const Netlist& netlist,
+                                const std::vector<Edge>& inputs,
+                                const netlist::Key& key);
+
+  /// True iff every output pair is equal on every input assignment. Pairs
+  /// that hashed to one edge drop out; only the rest reach the solver.
+  bool prove_equal(const std::vector<Edge>& a, const std::vector<Edge>& b);
+
+ private:
+  enum class Op : std::uint8_t { kConst, kInput, kAnd, kXor, kMux };
+  struct Node {
+    Op op;
+    Edge a, b, c;  // kMux: {select, in0, in1}
+  };
+
+  Edge make_and(Edge a, Edge b) {
+    if (a > b) std::swap(a, b);
+    if (a == kFalse || (a ^ 1) == b) return kFalse;  // x & ~x
+    if (a == kTrue || a == b) return b;
+    return lookup(Op::kAnd, a, b, 0);
+  }
+
+  Edge make_xor(Edge a, Edge b) {
+    // Inputs are stored uncomplemented; their polarity moves to the output.
+    const Edge flip = (a ^ b) & 1;
+    a &= ~Edge{1};
+    b &= ~Edge{1};
+    if (a > b) std::swap(a, b);
+    if (a == kFalse) return b ^ flip;
+    if (a == b) return flip;  // x ^ x = 0, x ^ ~x = 1
+    return lookup(Op::kXor, a, b, 0) ^ flip;
+  }
+
+  /// s ? in1 : in0.
+  Edge make_mux(Edge s, Edge in0, Edge in1) {
+    if (s <= kTrue) return s == kTrue ? in1 : in0;
+    if ((s & 1) != 0) {  // ~s ? in1 : in0  ==  s ? in0 : in1
+      s ^= 1;
+      std::swap(in0, in1);
+    }
+    // Each data input is read only when the select has a known value.
+    if ((in0 | 1) == (s | 1)) in0 = in0 == s ? kFalse : kTrue;
+    if ((in1 | 1) == (s | 1)) in1 = in1 == s ? kTrue : kFalse;
+    if (in0 == in1) return in0;
+    if (in0 == kFalse) return make_and(s, in1);
+    if (in0 == kTrue) return make_and(s, in1 ^ 1) ^ 1;      // ~s | in1
+    if (in1 == kFalse) return make_and(s ^ 1, in0);
+    if (in1 == kTrue) return make_and(s ^ 1, in0 ^ 1) ^ 1;  // s | in0
+    if ((in0 ^ 1) == in1) return make_xor(s, in1) ^ 1;      // s ? x : ~x
+    const Edge flip = in0 & 1;  // in0 is stored uncomplemented
+    return lookup(Op::kMux, s, in0 ^ flip, in1 ^ flip) ^ flip;
+  }
+
+  /// N-ary forms over `ins` (clobbered): sorting puts duplicates and
+  /// complementary pairs next to each other, and the survivors chain
+  /// through binary nodes in that order.
+  Edge make_and_n(std::vector<Edge>& ins) {
+    std::sort(ins.begin(), ins.end());
+    Edge acc = kTrue;
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      if (i > 0 && ins[i] == ins[i - 1]) continue;             // x & x
+      if (i > 0 && ins[i] == (ins[i - 1] ^ 1)) return kFalse;  // x & ~x
+      acc = make_and(acc, ins[i]);
+    }
+    return acc;
+  }
+
+  Edge make_xor_n(std::vector<Edge>& ins) {
+    Edge flip = 0;
+    for (Edge& e : ins) {
+      flip ^= e & 1;
+      e &= ~Edge{1};
+    }
+    std::sort(ins.begin(), ins.end());
+    Edge acc = kFalse;
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      if (i + 1 < ins.size() && ins[i] == ins[i + 1]) {
+        ++i;  // x ^ x cancels
+        continue;
+      }
+      acc = make_xor(acc, ins[i]);
+    }
+    return acc ^ flip;
+  }
+
+  /// The node (op, a, b, c), created if the table has no such node yet.
+  Edge lookup(Op op, Edge a, Edge b, Edge c) {
+    const std::uint64_t key =
+        ((std::uint64_t{a} << 32 | b) * 0x9E3779B97F4A7C15ULL) ^
+        ((std::uint64_t{c} << 3 | static_cast<std::uint64_t>(op)) *
+         0xC2B2AE3D27D4EB4FULL);
+    for (std::size_t slot = (key ^ (key >> 29)) & mask_;;
+         slot = (slot + 1) & mask_) {
+      std::uint32_t& id = table_[slot];
+      if (id == 0) {
+        id = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back({op, a, b, c});
+        return 2 * id;
+      }
+      const Node& n = nodes_[id];
+      if (n.op == op && n.a == a && n.b == b && n.c == c) return 2 * id;
+    }
+  }
+
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> table_;  // node ids; 0 (the constant) = empty
+  std::size_t mask_;
+};
+
+std::vector<Strash::Edge> Strash::add_netlist(const Netlist& netlist,
+                                              const std::vector<Edge>& inputs,
+                                              const netlist::Key& key) {
+  std::vector<Edge> edge(netlist.size(), kFalse);
+  const auto primary = netlist.primary_inputs();
+  for (std::size_t i = 0; i < primary.size(); ++i) edge[primary[i]] = inputs[i];
+  const auto keys = netlist.key_inputs();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    edge[keys[i]] = key[i] ? kTrue : kFalse;
+  }
+
+  std::vector<Edge> ins;
+  for (const NodeId v : netlist.topological_order()) {
+    const auto& node = netlist.node(v);
+    ins.clear();
+    for (const NodeId fanin : node.fanins) ins.push_back(edge[fanin]);
+    switch (node.type) {
+      case GateType::kInput:
+        break;  // bound above
+      case GateType::kConst0:
+      case GateType::kConst1:
+        edge[v] = node.type == GateType::kConst1 ? kTrue : kFalse;
+        break;
+      case GateType::kBuf:
+        edge[v] = ins[0];
+        break;
+      case GateType::kNot:
+        edge[v] = ins[0] ^ 1;
+        break;
+      case GateType::kAnd:
+        edge[v] = make_and_n(ins);
+        break;
+      case GateType::kNand:
+        edge[v] = make_and_n(ins) ^ 1;
+        break;
+      case GateType::kOr:
+      case GateType::kNor:
+        // OR(ins) == ~AND(~ins).
+        for (Edge& e : ins) e ^= 1;
+        edge[v] = make_and_n(ins) ^ (node.type == GateType::kOr ? 1 : 0);
+        break;
+      case GateType::kXor:
+        edge[v] = make_xor_n(ins);
+        break;
+      case GateType::kXnor:
+        edge[v] = make_xor_n(ins) ^ 1;
+        break;
+      case GateType::kMux:
+        edge[v] = make_mux(ins[0], ins[1], ins[2]);
+        break;
+    }
+  }
+
+  std::vector<Edge> outputs;
+  for (const auto& port : netlist.outputs()) outputs.push_back(edge[port.driver]);
+  return outputs;
 }
+
+bool Strash::prove_equal(const std::vector<Edge>& a,
+                         const std::vector<Edge>& b) {
+  std::vector<std::pair<Edge, Edge>> residual;
+  for (std::size_t o = 0; o < a.size(); ++o) {
+    if (a[o] == b[o]) continue;             // merged
+    if ((a[o] ^ 1) == b[o]) return false;  // x vs ~x, or 0 vs 1
+    residual.emplace_back(a[o], b[o]);
+  }
+  if (residual.empty()) return true;
+
+  // Node ids are topological, so one backward sweep marks the cone.
+  std::vector<std::uint8_t> needed(nodes_.size(), 0);
+  for (const auto& [x, y] : residual) needed[x >> 1] = needed[y >> 1] = 1;
+  for (std::size_t id = nodes_.size(); id-- > 0;) {
+    const Node& n = nodes_[id];
+    if (needed[id] == 0 || n.op == Op::kConst || n.op == Op::kInput) continue;
+    needed[n.a >> 1] = needed[n.b >> 1] = 1;
+    if (n.op == Op::kMux) needed[n.c >> 1] = 1;
+  }
+
+  Solver solver;
+  std::vector<Var> var(nodes_.size(), -1);
+  const auto lit = [&var](Edge e) {
+    return make_lit(var[e >> 1], (e & 1) != 0);
+  };
+  std::vector<Lit> pair;
+  std::vector<Lit> big;
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    if (needed[id] == 0) continue;
+    const Var out = solver.new_var();
+    var[id] = out;
+    const Node& n = nodes_[id];
+    switch (n.op) {
+      case Op::kConst:
+        solver.add_clause(make_lit(out, true));
+        break;
+      case Op::kInput:
+        break;
+      case Op::kAnd:
+        pair.assign({lit(n.a), lit(n.b)});
+        encode_and(solver, make_lit(out), pair, big);
+        break;
+      case Op::kXor:
+        encode_xor2(solver, out, lit(n.a), lit(n.b));
+        break;
+      case Op::kMux:
+        encode_mux(solver, out, lit(n.a), lit(n.b), lit(n.c));
+        break;
+    }
+  }
+  std::vector<Lit> any_diff;
+  for (const auto& [x, y] : residual) {
+    const Var diff = solver.new_var();
+    encode_xor2(solver, diff, lit(x), lit(y));
+    any_diff.push_back(make_lit(diff));
+  }
+  solver.add_clause(std::move(any_diff));
+  const SolveResult result = solver.solve();
+  if (result == SolveResult::kUnknown) {
+    throw std::runtime_error("check_equivalent: budget exhausted");
+  }
+  return result == SolveResult::kUnsat;
+}
+
+}  // namespace
 
 bool check_equivalent(const Netlist& a, const netlist::Key& a_key,
                       const Netlist& b, const netlist::Key& b_key) {
@@ -215,17 +481,12 @@ bool check_equivalent(const Netlist& a, const netlist::Key& a_key,
       b.key_inputs().size() != b_key.size()) {
     throw std::invalid_argument("check_equivalent: key length mismatch");
   }
-  Solver solver;
-  const Encoding enc_a =
-      encode_netlist(solver, a, std::nullopt, pin_constants(solver, a_key));
-  const Encoding enc_b = encode_netlist(solver, b, enc_a.primary_input_var,
-                                        pin_constants(solver, b_key));
-  const Var miter = make_miter(solver, enc_a, enc_b);
-  const SolveResult result = solver.solve({make_lit(miter, false)});
-  if (result == SolveResult::kUnknown) {
-    throw std::runtime_error("check_equivalent: budget exhausted");
-  }
-  return result == SolveResult::kUnsat;
+  Strash graph(1 + Strash::node_bound(a) + Strash::node_bound(b));
+  std::vector<Strash::Edge> inputs(a.primary_inputs().size());
+  for (Strash::Edge& e : inputs) e = graph.input();
+  const auto outputs_a = graph.add_netlist(a, inputs, a_key);
+  const auto outputs_b = graph.add_netlist(b, inputs, b_key);
+  return graph.prove_equal(outputs_a, outputs_b);
 }
 
 bool check_unlocks(const Netlist& locked, const netlist::Key& key,

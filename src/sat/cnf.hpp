@@ -1,9 +1,11 @@
 // Netlist → CNF (Tseitin) encoding, miter construction, and SAT-based
 // equivalence checking.
 //
-// The encoding assigns one SAT variable per netlist node. Key inputs can
-// either be encoded as free variables (for attacks, which solve for keys) or
-// constrained to constants (for verification under a specific key).
+// encode_netlist assigns one SAT variable per netlist node, with key inputs
+// as free variables (attacks solve for keys). Verification under fixed keys
+// (check_equivalent) does not encode whole copies: it folds the keys into a
+// structurally hashed miter and hands only the outputs that did not merge
+// to the solver.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +36,6 @@ Encoding encode_netlist(
     Solver& solver, const netlist::Netlist& netlist,
     const std::optional<std::vector<Var>>& share_primary_inputs = std::nullopt,
     const std::optional<std::vector<Var>>& share_keys = std::nullopt);
-
-/// Fresh solver variables pinned to constant `bits` as level-0 unit facts.
-/// Pinning BEFORE encode_netlist lets add_clause's level-0 simplification
-/// constant-fold the corresponding cones while the circuit is encoded —
-/// this is how check_equivalent fixes keys and the SAT attack fixes DIP
-/// inputs.
-std::vector<Var> pin_constants(Solver& solver, const std::vector<bool>& bits);
 
 /// Builds a miter over two encodings that already share primary inputs:
 /// returns a variable that is true iff some output differs.
@@ -115,7 +110,20 @@ class ConeTemplate {
 
 /// Proves or refutes equivalence of two netlists under fixed keys.
 /// Interfaces (primary input count / output count) must match.
-/// Returns true iff equivalent (miter UNSAT).
+/// Returns true iff equivalent; every verdict is a proof.
+///
+/// Both netlists go into one structurally hashed AND / XOR / MUX graph over
+/// shared primary inputs (FRAIG-style strashing: Mishchenko et al., 2005;
+/// Kuehlmann et al., TCAD 2002). Keys enter as constants and fold away:
+/// a MUX with a constant select becomes its data input, a constant XOR
+/// input flips polarity, AND/OR drop identity inputs and collapse on
+/// absorbing ones. Gates normalize to AND / XOR / MUX with complemented
+/// edges and sorted fanins, `x & ~x`, `x ^ x` and `MUX(s, a, a)` fold, and
+/// a gate whose normalized form already exists reuses that node. Output
+/// pairs that hash to one node drop out; `x` vs `~x` (or two different
+/// constants) refutes at once. Only the remaining pairs' cone is
+/// Tseitin-encoded into a miter for the CDCL solver, and if none remain
+/// the function returns true without solving.
 bool check_equivalent(const netlist::Netlist& a, const netlist::Key& a_key,
                       const netlist::Netlist& b, const netlist::Key& b_key);
 

@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "campaign/campaign.hpp"
+#include "locking/mux_lock.hpp"
+#include "locking/sites.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "reference/equivalence.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::sat {
 namespace {
 
 using netlist::GateType;
+using netlist::Key;
 using netlist::Netlist;
 using netlist::NodeId;
 using netlist::Simulator;
@@ -216,6 +224,303 @@ TEST_P(CnfRandomEquivalence, SimulatorAgreesWithSatOnRandomCircuits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CnfRandomEquivalence,
                          ::testing::Values(21, 22, 23, 24, 25, 26));
+
+// ---- check_equivalent vs the two-copy miter oracle -------------------------
+
+TEST(CheckEquivalentDifferential, CampaignSchemeLocksMatchPlainMiter) {
+  // Seeded locks of every campaign scheme on c432 and c880, under the
+  // correct key, random keys and every single-bit flip of the correct key.
+  std::size_t equivalent = 0;
+  std::size_t refuted = 0;
+  for (const auto profile :
+       {netlist::gen::ProfileId::kC432, netlist::gen::ProfileId::kC880}) {
+    const Netlist original = netlist::gen::make_profile(profile);
+    const lock::SiteContext context(original);
+    for (const campaign::SchemeAxis& scheme : campaign::default_schemes()) {
+      util::Rng rng(0xE0C1 ^ std::hash<std::string>{}(scheme.name) ^
+                    static_cast<std::uint64_t>(profile));
+      for (int trial = 0; trial < 2; ++trial) {
+        const lock::Genotype genes =
+            lock::random_genotype(context, scheme.spec, rng);
+        util::Rng repair = rng.fork();
+        const lock::LockedDesign design =
+            lock::apply_genotype(original, context, genes, repair);
+        std::vector<Key> keys = {design.key};
+        for (int r = 0; r < 2; ++r) {
+          Key key(design.key.size());
+          for (std::size_t b = 0; b < key.size(); ++b) key[b] = rng.next_bool();
+          keys.push_back(key);
+        }
+        for (std::size_t b = 0; b < design.key.size(); ++b) {
+          keys.push_back(design.key);
+          keys.back()[b] = !keys.back()[b];
+        }
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          SCOPED_TRACE(original.name() + " " + scheme.name + " trial " +
+                       std::to_string(trial) + " key " + std::to_string(k));
+          const bool expected = reference::plain_check_equivalent(
+              design.netlist, keys[k], original, {});
+          if (k == 0) {
+            ASSERT_TRUE(expected);  // the correct key unlocks
+          }
+          ASSERT_EQ(check_equivalent(design.netlist, keys[k], original, {}),
+                    expected);
+          ASSERT_EQ(check_equivalent(original, {}, design.netlist, keys[k]),
+                    expected);
+          ++(expected ? equivalent : refuted);
+        }
+      }
+    }
+  }
+  // Both verdicts are exercised, not just one.
+  EXPECT_GE(equivalent, 16u);
+  EXPECT_GE(refuted, 16u);
+}
+
+/// A one-output netlist over inputs x, y, s whose output `body` builds.
+Netlist one_output(
+    const std::function<NodeId(Netlist&, NodeId, NodeId, NodeId)>& body) {
+  Netlist n;
+  const NodeId x = n.add_input("x");
+  const NodeId y = n.add_input("y");
+  const NodeId s = n.add_input("s");
+  n.mark_output(body(n, x, y, s), "out");
+  return n;
+}
+
+/// Both argument orders and the oracle must all reach `expected`.
+void expect_verdict(const Netlist& a, const Netlist& b, bool expected) {
+  EXPECT_EQ(reference::plain_check_equivalent(a, {}, b, {}), expected);
+  EXPECT_EQ(check_equivalent(a, {}, b, {}), expected);
+  EXPECT_EQ(check_equivalent(b, {}, a, {}), expected);
+}
+
+NodeId gate(Netlist& n, GateType type, std::vector<NodeId> fanins) {
+  return n.add_gate(type, std::move(fanins),
+                    "g" + std::to_string(n.size()));
+}
+
+TEST(CheckEquivalentFolding, AndOfComplementIsFalse) {
+  const Netlist zero = one_output([](Netlist& n, NodeId, NodeId, NodeId) {
+    return n.add_const(false, "zero");
+  });
+  const Netlist one = one_output([](Netlist& n, NodeId, NodeId, NodeId) {
+    return n.add_const(true, "one");
+  });
+  const Netlist x_and_not_x =
+      one_output([](Netlist& n, NodeId x, NodeId, NodeId) {
+        return gate(n, GateType::kAnd, {x, gate(n, GateType::kNot, {x})});
+      });
+  const Netlist wide = one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+    return gate(n, GateType::kAnd, {y, x, gate(n, GateType::kNot, {x})});
+  });
+  const Netlist x_or_not_x =
+      one_output([](Netlist& n, NodeId x, NodeId, NodeId) {
+        return gate(n, GateType::kOr, {gate(n, GateType::kNot, {x}), x});
+      });
+  const Netlist just_x = one_output(
+      [](Netlist& n, NodeId x, NodeId, NodeId) { return gate(n, GateType::kBuf, {x}); });
+  expect_verdict(x_and_not_x, zero, true);
+  expect_verdict(wide, zero, true);
+  expect_verdict(x_or_not_x, one, true);
+  expect_verdict(x_and_not_x, just_x, false);
+}
+
+TEST(CheckEquivalentFolding, XorOfItselfCancels) {
+  const Netlist zero = one_output([](Netlist& n, NodeId, NodeId, NodeId) {
+    return n.add_const(false, "zero");
+  });
+  const Netlist one = one_output([](Netlist& n, NodeId, NodeId, NodeId) {
+    return n.add_const(true, "one");
+  });
+  const Netlist x_xor_x = one_output([](Netlist& n, NodeId x, NodeId, NodeId) {
+    return gate(n, GateType::kXor, {x, x});
+  });
+  const Netlist x_xor_not_x =
+      one_output([](Netlist& n, NodeId x, NodeId, NodeId) {
+        return gate(n, GateType::kXor, {x, gate(n, GateType::kNot, {x})});
+      });
+  const Netlist x_y_x = one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+    return gate(n, GateType::kXor, {x, y, x});
+  });
+  const Netlist just_y = one_output(
+      [](Netlist& n, NodeId, NodeId y, NodeId) { return gate(n, GateType::kBuf, {y}); });
+  expect_verdict(x_xor_x, zero, true);
+  expect_verdict(x_xor_not_x, one, true);
+  expect_verdict(x_y_x, just_y, true);
+  expect_verdict(x_xor_x, one, false);
+}
+
+TEST(CheckEquivalentFolding, NegatedMuxSelectSwapsData) {
+  const Netlist negated =
+      one_output([](Netlist& n, NodeId x, NodeId y, NodeId s) {
+        return gate(n, GateType::kMux, {gate(n, GateType::kNot, {s}), x, y});
+      });
+  const Netlist swapped =
+      one_output([](Netlist& n, NodeId x, NodeId y, NodeId s) {
+        return gate(n, GateType::kMux, {s, y, x});
+      });
+  const Netlist plain = one_output([](Netlist& n, NodeId x, NodeId y, NodeId s) {
+    return gate(n, GateType::kMux, {s, x, y});
+  });
+  expect_verdict(negated, swapped, true);
+  expect_verdict(negated, plain, false);
+}
+
+TEST(CheckEquivalentFolding, ComplementedMuxDataMoveToOutput) {
+  const Netlist complemented =
+      one_output([](Netlist& n, NodeId x, NodeId y, NodeId s) {
+        return gate(n, GateType::kMux, {s, gate(n, GateType::kNot, {x}),
+                                        gate(n, GateType::kNot, {y})});
+      });
+  const Netlist not_mux = one_output([](Netlist& n, NodeId x, NodeId y, NodeId s) {
+    return gate(n, GateType::kNot, {gate(n, GateType::kMux, {s, x, y})});
+  });
+  const Netlist plain = one_output([](Netlist& n, NodeId x, NodeId y, NodeId s) {
+    return gate(n, GateType::kMux, {s, x, y});
+  });
+  expect_verdict(complemented, not_mux, true);
+  expect_verdict(complemented, plain, false);
+}
+
+TEST(CheckEquivalentFolding, MuxWithEqualDataIsThatData) {
+  const Netlist equal_data =
+      one_output([](Netlist& n, NodeId x, NodeId, NodeId s) {
+        return gate(n, GateType::kMux, {s, x, x});
+      });
+  const Netlist just_x = one_output(
+      [](Netlist& n, NodeId x, NodeId, NodeId) { return gate(n, GateType::kBuf, {x}); });
+  // s ? ~x : x is s ^ x; s ? y : s is s & y.
+  const Netlist complementary_data =
+      one_output([](Netlist& n, NodeId x, NodeId, NodeId s) {
+        return gate(n, GateType::kMux, {s, x, gate(n, GateType::kNot, {x})});
+      });
+  const Netlist s_xor_x = one_output([](Netlist& n, NodeId x, NodeId, NodeId s) {
+    return gate(n, GateType::kXor, {s, x});
+  });
+  const Netlist select_as_data =
+      one_output([](Netlist& n, NodeId, NodeId y, NodeId s) {
+        return gate(n, GateType::kMux, {s, s, y});
+      });
+  const Netlist s_and_y = one_output([](Netlist& n, NodeId, NodeId y, NodeId s) {
+    return gate(n, GateType::kAnd, {y, s});
+  });
+  // s ? s : y is s | y; s ? y : ~s is ~s | y.
+  const Netlist select_as_in1 =
+      one_output([](Netlist& n, NodeId, NodeId y, NodeId s) {
+        return gate(n, GateType::kMux, {s, y, s});
+      });
+  const Netlist s_or_y = one_output([](Netlist& n, NodeId, NodeId y, NodeId s) {
+    return gate(n, GateType::kOr, {s, y});
+  });
+  const Netlist not_select_as_in0 =
+      one_output([](Netlist& n, NodeId, NodeId y, NodeId s) {
+        return gate(n, GateType::kMux, {s, gate(n, GateType::kNot, {s}), y});
+      });
+  const Netlist not_s_or_y =
+      one_output([](Netlist& n, NodeId, NodeId y, NodeId s) {
+        return gate(n, GateType::kNand, {s, gate(n, GateType::kNot, {y})});
+      });
+  expect_verdict(equal_data, just_x, true);
+  expect_verdict(complementary_data, s_xor_x, true);
+  expect_verdict(select_as_data, s_and_y, true);
+  expect_verdict(select_as_in1, s_or_y, true);
+  expect_verdict(not_select_as_in0, not_s_or_y, true);
+  expect_verdict(complementary_data, just_x, false);
+  expect_verdict(select_as_in1, s_and_y, false);
+}
+
+TEST(CheckEquivalentFolding, XnorPolarity) {
+  const Netlist xnor = one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+    return gate(n, GateType::kXnor, {x, y});
+  });
+  const Netlist not_xor = one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+    return gate(n, GateType::kNot, {gate(n, GateType::kXor, {y, x})});
+  });
+  const Netlist xnor_not_y =
+      one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+        return gate(n, GateType::kXnor, {x, gate(n, GateType::kNot, {y})});
+      });
+  const Netlist xor_ = one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+    return gate(n, GateType::kXor, {x, y});
+  });
+  expect_verdict(xnor, not_xor, true);
+  expect_verdict(xnor_not_y, xor_, true);
+  expect_verdict(xnor, xor_, false);
+}
+
+/// y = AND(x, k) under key {k}: folds to 0 when k = 0, to x when k = 1.
+Netlist and_with_key(GateType type) {
+  Netlist n;
+  const NodeId x = n.add_input("x");
+  n.add_input("y");
+  n.add_input("s");
+  const NodeId k = n.add_input("keyinput0", true);
+  n.mark_output(gate(n, type, {x, k}), "out");
+  return n;
+}
+
+TEST(CheckEquivalentMiter, ConstantAgainstLiteral) {
+  const Netlist keyed_and = and_with_key(GateType::kAnd);
+  const Netlist just_x = one_output(
+      [](Netlist& n, NodeId x, NodeId, NodeId) { return gate(n, GateType::kBuf, {x}); });
+  // x & y & (x ^ y) is constant 0, but only a SAT call can tell.
+  const Netlist hidden_zero =
+      one_output([](Netlist& n, NodeId x, NodeId y, NodeId) {
+        return gate(n, GateType::kAnd, {gate(n, GateType::kXor, {x, y}),
+                                        gate(n, GateType::kAnd, {x, y})});
+      });
+  EXPECT_FALSE(check_equivalent(keyed_and, {false}, just_x, {}));
+  EXPECT_FALSE(check_equivalent(just_x, {}, keyed_and, {false}));
+  EXPECT_TRUE(check_equivalent(keyed_and, {true}, just_x, {}));
+  EXPECT_TRUE(check_equivalent(keyed_and, {false}, hidden_zero, {}));
+  EXPECT_TRUE(check_equivalent(hidden_zero, {}, keyed_and, {false}));
+  EXPECT_FALSE(check_equivalent(keyed_and, {true}, hidden_zero, {}));
+  // Constant 0 against constant 1.
+  EXPECT_FALSE(check_equivalent(keyed_and, {false},
+                                and_with_key(GateType::kOr), {true}));
+  EXPECT_TRUE(check_equivalent(keyed_and, {false},
+                               and_with_key(GateType::kNor), {true}));
+}
+
+TEST(CheckEquivalentMiter, LiteralAgainstItsComplement) {
+  const Netlist just_x = one_output(
+      [](Netlist& n, NodeId x, NodeId, NodeId) { return gate(n, GateType::kBuf, {x}); });
+  const Netlist not_x = one_output(
+      [](Netlist& n, NodeId x, NodeId, NodeId) { return gate(n, GateType::kNot, {x}); });
+  expect_verdict(just_x, not_x, false);
+  // XOR(x, k) under k = 1 is ~x.
+  const Netlist keyed_xor = and_with_key(GateType::kXor);
+  EXPECT_FALSE(check_equivalent(keyed_xor, {true}, just_x, {}));
+  EXPECT_TRUE(check_equivalent(keyed_xor, {true}, not_x, {}));
+}
+
+TEST(CheckEquivalentMiter, OneDifferingOutputOfSeveral) {
+  // c17 against a copy whose last output is inverted: the other outputs
+  // merge, the last pair alone refutes.
+  const Netlist c17 = netlist::gen::c17();
+  Netlist inverted(c17.name(), c17.names());
+  std::vector<NodeId> remap(c17.size());
+  for (NodeId v = 0; v < c17.size(); ++v) {
+    const auto& node = c17.node(v);
+    if (node.type == GateType::kInput) {
+      remap[v] = inverted.add_input(node.name, node.is_key_input);
+      continue;
+    }
+    std::vector<NodeId> fanins;
+    for (const NodeId f : node.fanins) fanins.push_back(remap[f]);
+    remap[v] = inverted.add_gate(node.type, std::move(fanins), node.name);
+  }
+  const auto& ports = c17.outputs();
+  for (std::size_t o = 0; o < ports.size(); ++o) {
+    NodeId driver = remap[ports[o].driver];
+    if (o + 1 == ports.size()) driver = gate(inverted, GateType::kNot, {driver});
+    inverted.mark_output(driver, ports[o].name);
+  }
+  ASSERT_GE(ports.size(), 2u);
+  expect_verdict(c17, inverted, false);
+  expect_verdict(c17, c17, true);
+}
 
 }  // namespace
 }  // namespace autolock::sat
