@@ -8,8 +8,6 @@
 // results are pinned against reference oracles by tests/test_workspace.cpp.
 #include "bench/common.hpp"
 
-#include <thread>
-
 #include "attacks/attack_scratch.hpp"
 #include "attacks/muxlink.hpp"
 #include "core/ga.hpp"
@@ -84,22 +82,7 @@ int main(int argc, char** argv) {
       {"circuit", "K", "mode", "probes/s", "seconds", "speedup"});
   util::Table gnn_table(
       {"circuit", "K", "mode", "attacks/s", "seconds", "last loss"});
-  util::Table scaling_table(
-      {"circuit", "K", "mode", "gens/s", "seconds", "speedup"});
   util::Table compound_table({"circuit", "K", "mode", "rate/s", "seconds"});
-  // Context for the scaling section: on a 1-core host (the CI container)
-  // parallel_for_sharded degenerates to the serial loop and the speedup
-  // column is expected to sit at 1.0x — that shape is the host's fault, not
-  // a sharding regression, and the note column says so in the JSON.
-  util::Table host_table({"metric", "mode", "note", "value"});
-  {
-    const unsigned cores = std::thread::hardware_concurrency();
-    host_table.add_row(
-        {"hardware_concurrency", "host",
-         cores <= 1 ? "single core: thread-scaling section skipped"
-                    : "multi core: thread scaling should exceed 1.0x",
-         std::to_string(cores)});
-  }
 
   for (const Workload& w : workloads) {
     const auto& info = netlist::gen::profile_info(w.profile);
@@ -286,35 +269,6 @@ int main(int argc, char** argv) {
            util::fmt(static_cast<double>(ga_config.generations) / s, 3),
            util::fmt(s, 3)});
     }
-
-    // ---- GA thread scaling (workspace mode, parallel_for_sharded) ----------
-    // Only measured on multi-core hosts: with one core every thread count
-    // produces the same serial rate, and committing those flat 1.0x rows
-    // would read as "sharding adds nothing" in the tracked JSON. The host
-    // table records the skip instead.
-    if (std::thread::hardware_concurrency() > 1) {
-      double single_thread_rate = 0.0;
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}}) {
-        eval::EvalPipelineConfig config =
-            attack_mix_config(ga_config.seed);
-        config.threads = threads;
-        eval::EvalPipeline pipeline(original, config);
-        ga::GeneticAlgorithm ga(original, ga_config);
-        util::Timer timer;
-        const auto result = ga.run(w.key_bits, pipeline);
-        const double s = timer.elapsed_seconds();
-        (void)result;
-        const double gens_per_s =
-            static_cast<double>(ga_config.generations) / s;
-        if (threads == 1) single_thread_rate = gens_per_s;
-        scaling_table.add_row(
-            {std::string(info.name), std::to_string(w.key_bits),
-             "threads=" + std::to_string(threads), util::fmt(gens_per_s, 3),
-             util::fmt(s, 3),
-             util::fmt(gens_per_s / single_thread_rate, 2) + "x"});
-      }
-    }
   }
 
   benchx::emit(decode_table, args, "decode throughput");
@@ -323,9 +277,5 @@ int main(int argc, char** argv) {
   benchx::emit(corruption_table, args, "corruption probe throughput");
   benchx::emit(gnn_table, args, "gnn attack throughput (muxlink)");
   benchx::emit(compound_table, args, "compound genotype throughput");
-  if (scaling_table.row_count() > 0) {
-    benchx::emit(scaling_table, args, "GA thread scaling");
-  }
-  benchx::emit(host_table, args, "thread scaling host");
   return 0;
 }

@@ -1,8 +1,10 @@
 #include "attacks/sat_attack.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "sat/aig.hpp"
 #include "sat/cnf.hpp"
 #include "util/timer.hpp"
 
@@ -11,11 +13,13 @@ namespace autolock::attack {
 using netlist::Key;
 using netlist::Netlist;
 using netlist::Simulator;
-using sat::Encoding;
 using sat::Lit;
+using sat::lit_neg;
+using sat::lit_var;
 using sat::make_lit;
 using sat::SolveResult;
 using sat::Var;
+using Edge = sat::Aig::Edge;
 
 SatAttack::SatAttack(SatAttackConfig config) : config_(std::move(config)) {}
 
@@ -34,8 +38,8 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     throw std::invalid_argument("SatAttack: interface mismatch");
   }
 
-  const auto key_nodes = locked.key_inputs();
-  const std::size_t key_bits = key_nodes.size();
+  const std::size_t primary_count = locked.primary_inputs().size();
+  const std::size_t key_bits = locked.key_inputs().size();
   if (key_bits == 0) {
     result.success = true;
     result.seconds = timer.elapsed_seconds();
@@ -49,28 +53,46 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     solver.set_conflict_budget(config_.conflict_budget);
   }
 
-  // One growing formula for the whole attack: two copies of the locked
-  // circuit sharing primary inputs with independent key sets K1/K2, the
-  // miter over them, and (appended per iteration) every DIP's IO
-  // constraints. The miter is attached by ASSUMPTION, never as a clause,
-  // so the final "find a consistent key" solve and the canonicalization
-  // solves reuse the same solver — learnt clauses and VSIDS state survive
-  // across all of it.
+  // One growing formula for the whole attack: the miter over two copies of
+  // the locked circuit that share primary inputs and have independent key
+  // sets K1/K2, and (appended per iteration) every DIP's IO constraints.
+  // The miter is attached by ASSUMPTION, never as a clause, so the final
+  // "find a consistent key" solve and the canonicalization solves reuse
+  // the same solver — learnt clauses and VSIDS state survive across all of
+  // it.
   //
-  // The second copy shares the key-independent remainder with the first
-  // (it is identical in both), so the initial miter grows by one key cone
-  // instead of one whole circuit — every DIP search then propagates a much
-  // smaller formula.
-  sat::ConeTemplate cone(locked);
-  const Encoding enc1 = sat::encode_netlist(solver, locked);
-  const Encoding enc2 = cone.encode_shared_copy(solver, enc1);
-  const std::vector<Var>& pi_vars = enc1.primary_input_var;
-  const std::vector<Var>& key1_vars = enc1.key_var;
-  const std::vector<Var>& key2_vars = enc2.key_var;
-  const Var miter_var = sat::make_miter(solver, enc1, enc2);
-  const Lit miter_lit = make_lit(miter_var, false);
+  // Both copies go into one structurally hashed graph, so the logic that
+  // does not depend on the key hashes to one node for both: the miter
+  // grows by one key cone instead of one whole circuit, and an output that
+  // does not depend on the key drops out of it.
+  sat::Aig graph;
+  std::vector<Edge> pi_edges(primary_count);
+  std::vector<Edge> key1_edges(key_bits);
+  std::vector<Edge> key2_edges(key_bits);
+  for (Edge& e : pi_edges) e = graph.input();
+  for (Edge& e : key1_edges) e = graph.input();
+  for (Edge& e : key2_edges) e = graph.input();
+  const auto outputs1 = graph.add_netlist(locked, pi_edges, key1_edges);
+  const auto outputs2 = graph.add_netlist(locked, pi_edges, key2_edges);
+  std::vector<Edge> diffs;
+  for (std::size_t o = 0; o < outputs1.size(); ++o) {
+    diffs.push_back(graph.make_xor(outputs1[o], outputs2[o]));
+  }
+  const Edge miter = graph.make_or(diffs);
 
-  const std::size_t primary_count = pi_vars.size();
+  std::vector<Var> pi_vars;
+  for (const Edge e : pi_edges) {
+    pi_vars.push_back(lit_var(graph.encode(solver, e)));
+  }
+  std::vector<Var> key1_vars;
+  for (const Edge e : key1_edges) {
+    key1_vars.push_back(lit_var(graph.encode(solver, e)));
+  }
+  // A miter that folds to false has no DIP at all.
+  const std::optional<Lit> miter_lit =
+      miter == sat::Aig::kFalse
+          ? std::nullopt
+          : std::optional<Lit>(graph.encode(solver, miter));
 
   auto record_stats = [&] {
     const sat::Solver::Stats& stats = solver.stats();
@@ -88,7 +110,27 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     return std::move(r);
   };
 
-  for (;;) {
+  // Both copies must map a DIP to its response. The DIP enters as
+  // constants, so the key-independent logic folds away and only each
+  // copy's key cone reaches the solver. A constant output that differs
+  // from the response proves no key can match.
+  std::vector<Edge> dip_edges(primary_count);
+  const auto constrain = [&](const std::vector<bool>& response) {
+    for (const auto* keys : {&key1_edges, &key2_edges}) {
+      const auto outputs = graph.add_netlist(locked, dip_edges, *keys);
+      for (std::size_t o = 0; o < outputs.size(); ++o) {
+        if (outputs[o] == sat::Aig::kFalse || outputs[o] == sat::Aig::kTrue) {
+          if ((outputs[o] == sat::Aig::kTrue) != response[o]) return false;
+          continue;
+        }
+        const Lit out = graph.encode(solver, outputs[o]);
+        if (!solver.add_clause(response[o] ? out : lit_neg(out))) return false;
+      }
+    }
+    return solver.okay();
+  };
+
+  while (miter_lit) {
     if (config_.max_iterations != 0 &&
         result.dip_iterations >= config_.max_iterations) {
       result.budget_exhausted = true;
@@ -98,7 +140,7 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     const std::uint64_t clauses_before = solver.num_clauses();
     const std::uint64_t conflicts_before = solver.stats().conflicts;
 
-    const SolveResult res = solver.solve({miter_lit});
+    const SolveResult res = solver.solve({*miter_lit});
     if (res == SolveResult::kUnknown) {
       result.budget_exhausted = true;
       return finish(std::move(result));
@@ -110,13 +152,11 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     std::vector<bool> dip(primary_count);
     for (std::size_t i = 0; i < primary_count; ++i) {
       dip[i] = solver.model_value(pi_vars[i]);
+      dip_edges[i] = sat::Aig::constant(dip[i]);
     }
     const std::vector<bool> response = oracle_sim.run_single(dip, Key{});
 
-    // Append the IO constraint (both copies must map dip -> response).
-    const bool consistent = cone.bind_dip(dip, response) &&
-                            cone.encode_copy(solver, key1_vars) &&
-                            cone.encode_copy(solver, key2_vars);
+    const bool consistent = constrain(response);
     result.iterations.push_back(
         {solver.num_vars() - vars_before,
          solver.num_clauses() - clauses_before, solver.stats().arena_bytes,

@@ -10,10 +10,11 @@
 //
 // The loop is fully incremental: one growing formula holds the miter and
 // every DIP's IO constraints, so learnt clauses and VSIDS state carry
-// across iterations, and each DIP's constraints are encoded through a
-// sat::ConeTemplate, which simulates the key-independent logic to
-// constants once per DIP and encodes only the key-dependent cone per key
-// copy. The recovered key is canonicalized (lexicographically smallest
+// across iterations. Both are built in one structurally hashed graph
+// (sat::Aig): the miter's two copies share their key-independent logic,
+// and a DIP enters as constants, so its key-independent logic folds away
+// and only the key-dependent cone of each key copy reaches the solver.
+// The recovered key is canonicalized (lexicographically smallest
 // consistent key, bit 0 first) so it is a function of the locked/oracle
 // pair alone, not of the DIP trajectory.
 //
@@ -53,10 +54,10 @@ struct SatAttackResult {
   bool budget_exhausted = false;
   /// The oracle's IO behaviour is inconsistent with the locked circuit:
   /// some response cannot be produced under ANY key (wrong oracle/locked
-  /// pairing, or corrupted responses). Detected either by the cone
-  /// template's key-independent output check or by the IO constraints
-  /// going UNSAT at level 0 — the loop stops immediately instead of
-  /// solving on a dead formula.
+  /// pairing, or corrupted responses). Detected either by an output that
+  /// folds to a constant other than the response under a DIP or by the IO
+  /// constraints going UNSAT at level 0 — the loop stops immediately
+  /// instead of solving on a dead formula.
   bool infeasible = false;
   netlist::Key recovered_key;
   std::size_t dip_iterations = 0;

@@ -107,41 +107,4 @@ std::uint64_t eval_gate_words(GateType type, const std::uint64_t* fanins,
   return 0;
 }
 
-bool eval_gate_bits(GateType type, const bool* fanins,
-                    std::size_t fanin_count) noexcept {
-  std::uint64_t words[16];
-  const std::size_t n = fanin_count < 16 ? fanin_count : 16;
-  for (std::size_t i = 0; i < n; ++i) words[i] = fanins[i] ? ~0ULL : 0ULL;
-  if (fanin_count <= 16) {
-    return (eval_gate_words(type, words, fanin_count) & 1ULL) != 0;
-  }
-  // Rare wide gate: fold manually via words in chunks.
-  // (All library call sites use <=16 fanins; this is a safe fallback.)
-  std::uint64_t acc_words[1];
-  bool first = true;
-  bool acc = false;
-  for (std::size_t i = 0; i < fanin_count; ++i) {
-    if (first) {
-      acc = fanins[i];
-      first = false;
-      continue;
-    }
-    switch (type) {
-      case GateType::kAnd:
-      case GateType::kNand: acc = acc && fanins[i]; break;
-      case GateType::kOr:
-      case GateType::kNor: acc = acc || fanins[i]; break;
-      case GateType::kXor:
-      case GateType::kXnor: acc = acc != fanins[i]; break;
-      default: break;
-    }
-  }
-  (void)acc_words;
-  if (type == GateType::kNand || type == GateType::kNor ||
-      type == GateType::kXnor) {
-    acc = !acc;
-  }
-  return acc;
-}
-
 }  // namespace autolock::netlist

@@ -82,8 +82,4 @@ constexpr Arity gate_arity(GateType type) noexcept {
 std::uint64_t eval_gate_words(GateType type, const std::uint64_t* fanins,
                               std::size_t fanin_count) noexcept;
 
-/// Single-bit convenience wrapper around eval_gate_words.
-bool eval_gate_bits(GateType type, const bool* fanins,
-                    std::size_t fanin_count) noexcept;
-
 }  // namespace autolock::netlist

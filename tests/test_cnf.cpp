@@ -11,6 +11,8 @@
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "reference/equivalence.hpp"
+#include "sat/aig.hpp"
+#include "sat/solver.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::sat {
@@ -22,10 +24,54 @@ using netlist::Netlist;
 using netlist::NodeId;
 using netlist::Simulator;
 
-/// Exhaustively checks that the CNF encoding of a single-gate circuit agrees
-/// with the simulator on every input assignment (by solving with pinned
-/// inputs and reading the output variable).
-void check_gate_encoding(GateType type, std::size_t arity) {
+/// The single output of a one-gate netlist under the input values `bits`,
+/// as some encoder computes it.
+using GateEncoder =
+    std::function<bool(const Netlist&, const std::vector<bool>&)>;
+
+/// The plain Tseitin reference encoder: inputs pinned by unit clauses,
+/// output read from the model.
+bool reference_value(const Netlist& n, const std::vector<bool>& bits) {
+  Solver solver;
+  const reference::Encoding enc = reference::encode_netlist(solver, n);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    solver.add_clause(make_lit(enc.primary_input_var[i], !bits[i]));
+  }
+  EXPECT_EQ(solver.solve(), SolveResult::kSat);
+  return solver.model_value(enc.output_var[0]);
+}
+
+/// The graph with constant input edges: the gate must fold to a constant.
+bool aig_folded_value(const Netlist& n, const std::vector<bool>& bits) {
+  Aig graph;
+  std::vector<Aig::Edge> inputs;
+  for (const bool bit : bits) inputs.push_back(Aig::constant(bit));
+  const Aig::Edge out = graph.add_netlist(n, inputs, {})[0];
+  EXPECT_TRUE(out == Aig::kFalse || out == Aig::kTrue) << "did not fold";
+  return out == Aig::kTrue;
+}
+
+/// The graph with free input edges, pinned by unit clauses on their
+/// encoded literals; the output is read through encode().
+bool aig_encoded_value(const Netlist& n, const std::vector<bool>& bits) {
+  Aig graph;
+  std::vector<Aig::Edge> inputs(bits.size());
+  for (Aig::Edge& e : inputs) e = graph.input();
+  const Aig::Edge out = graph.add_netlist(n, inputs, {})[0];
+  Solver solver;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const Lit in = graph.encode(solver, inputs[i]);
+    solver.add_clause(bits[i] ? in : lit_neg(in));
+  }
+  const Lit out_lit = graph.encode(solver, out);
+  EXPECT_EQ(solver.solve(), SolveResult::kSat);
+  return solver.model_value_lit(out_lit);
+}
+
+/// Exhaustively checks that `encoder` agrees with the simulator on a
+/// single-gate circuit for every input assignment.
+void check_gate_encoding(const GateEncoder& encoder, GateType type,
+                         std::size_t arity) {
   Netlist n;
   std::vector<NodeId> ins;
   for (std::size_t i = 0; i < arity; ++i) {
@@ -36,29 +82,73 @@ void check_gate_encoding(GateType type, std::size_t arity) {
   const Simulator sim(n);
 
   for (std::uint32_t mask = 0; mask < (1u << arity); ++mask) {
-    Solver solver;
-    const Encoding enc = encode_netlist(solver, n);
     std::vector<bool> bits(arity);
     for (std::size_t i = 0; i < arity; ++i) {
       bits[i] = ((mask >> i) & 1u) != 0;
-      solver.add_clause(make_lit(enc.primary_input_var[i], !bits[i]));
     }
-    ASSERT_EQ(solver.solve(), SolveResult::kSat);
     const bool expected = sim.run_single(bits, {})[0];
-    EXPECT_EQ(solver.model_value(enc.output_var[0]), expected)
-        << gate_type_name(type) << " mask=" << mask;
+    EXPECT_EQ(encoder(n, bits), expected)
+        << gate_type_name(type) << "/" << arity << " mask=" << mask;
   }
 }
 
-TEST(CnfEncoding, AllGateTypesExhaustive) {
-  check_gate_encoding(GateType::kBuf, 1);
-  check_gate_encoding(GateType::kNot, 1);
+/// Every gate type, and the n-ary paths (XOR chains, wide AND/OR) at
+/// arities up to `max_arity`.
+void check_all_gates(const GateEncoder& encoder, std::size_t max_arity) {
+  check_gate_encoding(encoder, GateType::kBuf, 1);
+  check_gate_encoding(encoder, GateType::kNot, 1);
   for (const auto type : {GateType::kAnd, GateType::kNand, GateType::kOr,
                           GateType::kNor, GateType::kXor, GateType::kXnor}) {
-    check_gate_encoding(type, 2);
-    check_gate_encoding(type, 3);  // n-ary paths (XOR chains, wide AND)
+    for (std::size_t arity = 2; arity <= max_arity; ++arity) {
+      check_gate_encoding(encoder, type, arity);
+    }
   }
-  check_gate_encoding(GateType::kMux, 3);
+  check_gate_encoding(encoder, GateType::kMux, 3);
+}
+
+TEST(CnfEncoding, AllGateTypesExhaustive) {
+  check_all_gates(reference_value, 3);
+}
+
+TEST(AigEncoding, AllGateTypesFoldUnderConstantFanins) {
+  check_all_gates(aig_folded_value, 4);
+}
+
+TEST(AigEncoding, AllGateTypesEncodeUnderPinnedFanins) {
+  check_all_gates(aig_encoded_value, 4);
+}
+
+TEST(AigEncoding, SecondCopyHashesToTheSameNodes) {
+  // Large enough that the hash table grows several times on the first
+  // copy.
+  const Netlist big =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC7552);
+  Aig graph;
+  std::vector<Aig::Edge> inputs(big.primary_inputs().size());
+  for (Aig::Edge& e : inputs) e = graph.input();
+  const auto first = graph.add_netlist(big, inputs, {});
+  const std::size_t nodes = graph.size();
+  ASSERT_GT(nodes, 2048u);
+  EXPECT_EQ(graph.add_netlist(big, inputs, {}), first);
+  EXPECT_EQ(graph.size(), nodes);
+}
+
+TEST(AigEncoding, EncodeDefinesEachNodeOnce) {
+  const Netlist c17 = netlist::gen::c17();
+  Aig graph;
+  std::vector<Aig::Edge> inputs(c17.primary_inputs().size());
+  for (Aig::Edge& e : inputs) e = graph.input();
+  const auto outputs = graph.add_netlist(c17, inputs, {});
+  Solver solver;
+  const Lit first = graph.encode(solver, outputs[0]);
+  const std::size_t vars = solver.num_vars();
+  EXPECT_EQ(graph.encode(solver, outputs[0]), first);
+  EXPECT_EQ(graph.encode(solver, outputs[0] ^ 1), lit_neg(first));
+  EXPECT_EQ(solver.num_vars(), vars);
+  // Every c17 node feeds an output: with both cones encoded, each node
+  // but the unused constant has exactly one variable.
+  (void)graph.encode(solver, outputs[1]);
+  EXPECT_EQ(solver.num_vars(), graph.size() - 1);
 }
 
 TEST(CnfEncoding, Constants) {
@@ -71,7 +161,7 @@ TEST(CnfEncoding, Constants) {
   n.mark_output(one, "y1");
   n.mark_output(g, "y2");
   Solver solver;
-  const Encoding enc = encode_netlist(solver, n);
+  const reference::Encoding enc = reference::encode_netlist(solver, n);
   ASSERT_EQ(solver.solve(), SolveResult::kSat);
   EXPECT_FALSE(solver.model_value(enc.output_var[0]));
   EXPECT_TRUE(solver.model_value(enc.output_var[1]));
@@ -81,11 +171,12 @@ TEST(CnfEncoding, Constants) {
 TEST(CnfEncoding, SharedInputsReuseVariables) {
   const Netlist c17 = netlist::gen::c17();
   Solver solver;
-  const Encoding a = encode_netlist(solver, c17);
-  const Encoding b = encode_netlist(solver, c17, a.primary_input_var);
+  const reference::Encoding a = reference::encode_netlist(solver, c17);
+  const reference::Encoding b =
+      reference::encode_netlist(solver, c17, a.primary_input_var);
   EXPECT_EQ(a.primary_input_var, b.primary_input_var);
   // Identical circuits on shared inputs: miter must be UNSAT.
-  const Var miter = make_miter(solver, a, b);
+  const Var miter = reference::make_miter(solver, a, b);
   EXPECT_EQ(solver.solve({make_lit(miter)}), SolveResult::kUnsat);
 }
 
@@ -93,7 +184,8 @@ TEST(CnfEncoding, SharedInputSizeMismatchThrows) {
   const Netlist c17 = netlist::gen::c17();
   Solver solver;
   std::vector<Var> wrong{solver.new_var()};
-  EXPECT_THROW(encode_netlist(solver, c17, wrong), std::invalid_argument);
+  EXPECT_THROW(reference::encode_netlist(solver, c17, wrong),
+               std::invalid_argument);
 }
 
 TEST(Miter, DetectsSingleGateDifference) {
@@ -110,9 +202,10 @@ TEST(Miter, DetectsSingleGateDifference) {
     b.mark_output(b.add_gate(GateType::kNand, {x, y}, "g"));
   }
   Solver solver;
-  const Encoding ea = encode_netlist(solver, a);
-  const Encoding eb = encode_netlist(solver, b, ea.primary_input_var);
-  const Var miter = make_miter(solver, ea, eb);
+  const reference::Encoding ea = reference::encode_netlist(solver, a);
+  const reference::Encoding eb =
+      reference::encode_netlist(solver, b, ea.primary_input_var);
+  const Var miter = reference::make_miter(solver, ea, eb);
   EXPECT_EQ(solver.solve({make_lit(miter)}), SolveResult::kSat);
 }
 

@@ -4,14 +4,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
+#include "campaign/campaign.hpp"
 #include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
+#include "locking/sites.hpp"
 #include "netlist/generator.hpp"
+#include "reference/equivalence.hpp"
 #include "reference/sat_key.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
+#include "util/rng.hpp"
 
 namespace autolock::attack {
 namespace {
@@ -115,11 +121,13 @@ TEST(SatAttack, StatsPopulated) {
 // full trajectory (DIP count, conflict count, exact key bits) so any future
 // solver-core or encoding change that silently alters attack behaviour
 // fails loudly here instead of shifting benchmark numbers. Baseline: the
-// SAT-core-phase-2 incremental loop — one growing formula whose initial
-// miter shares the key-independent remainder between copies, cone-template
-// DIP constraints, lex-min key canonicalization (so the pinned key is the
-// smallest consistent key, not an arbitrary model). Re-baselined when that
-// landed; the previous baseline covered the per-DIP-copy loop.
+// incremental loop on the structurally hashed graph (sat::Aig) — one
+// growing formula whose miter copies share their key-independent logic,
+// DIP constraints with the DIP folded in as constants, lex-min key
+// canonicalization (so the pinned key is the smallest consistent key, not
+// an arbitrary model). An encoding change may re-record the DIP and
+// conflict counts (CHANGES.md says old -> new and why); the keys must not
+// change.
 
 Key key_from_string(const char* bits) {
   Key key;
@@ -133,8 +141,8 @@ TEST(SatAttack, DeterministicTrajectoryOnSeededRll) {
   const auto design = lock::rll_lock(original, 16, 7);
   const auto result = SatAttack().attack(design.netlist, original);
   ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.dip_iterations, 2u);
-  EXPECT_EQ(result.total_conflicts, 74u);
+  EXPECT_EQ(result.dip_iterations, 4u);
+  EXPECT_EQ(result.total_conflicts, 37u);
   EXPECT_EQ(result.recovered_key, key_from_string("0000000101100000"));
 }
 
@@ -144,8 +152,8 @@ TEST(SatAttack, DeterministicTrajectoryOnSeededDmux) {
   const auto design = lock::dmux_lock(original, 12, 9);
   const auto result = SatAttack().attack(design.netlist, original);
   ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.dip_iterations, 5u);
-  EXPECT_EQ(result.total_conflicts, 93u);
+  EXPECT_EQ(result.dip_iterations, 3u);
+  EXPECT_EQ(result.total_conflicts, 53u);
   EXPECT_EQ(result.recovered_key, key_from_string("000011000011"));
 }
 
@@ -175,7 +183,7 @@ TEST(SatAttack, KeyedOracleThrows) {
 /// second is key-dependent (out2 = (a & b) ^ k), paired with an "oracle"
 /// whose first output is inverted (¬(a & b)) — no key assignment can make
 /// the locked circuit match it, on any input. Used to pin the
-/// inconsistent-oracle detection on both DIP encodings.
+/// inconsistent-oracle detection.
 struct InconsistentPair {
   Netlist locked;
   Netlist oracle;
@@ -215,7 +223,9 @@ TEST(SatAttack, RecoveredKeyIsFirstUnlockingKey) {
   // locked/oracle pair alone: the first functionally-correct key in
   // lexicographic order (bit 0 first), whatever the DIP trajectory. A
   // brute-force enumeration of that order must find the same key. Seeded
-  // c432 (RLL) and c880 (D-MUX) workloads.
+  // c432 and c880 workloads: RLL and D-MUX locks, then a seeded genotype
+  // of every campaign scheme (D-MUX, RLL, Anti-SAT, compound) at the
+  // campaign's key width.
   struct Workload {
     netlist::gen::ProfileId profile;
     std::uint64_t seed;
@@ -243,6 +253,30 @@ TEST(SatAttack, RecoveredKeyIsFirstUnlockingKey) {
         << "canonical key is not the first unlocking key (seed " << w.seed
         << ")";
   }
+
+  for (const auto profile :
+       {netlist::gen::ProfileId::kC432, netlist::gen::ProfileId::kC880}) {
+    const Netlist original = netlist::gen::make_profile(profile);
+    const lock::SiteContext context(original);
+    for (const campaign::SchemeAxis& scheme : campaign::default_schemes()) {
+      SCOPED_TRACE(original.name() + " " + scheme.name);
+      util::Rng rng(0x5A7A77ACULL ^ std::hash<std::string>{}(scheme.name) ^
+                    static_cast<std::uint64_t>(profile));
+      const lock::Genotype genes =
+          lock::random_genotype(context, scheme.spec, rng);
+      util::Rng repair = rng.fork();
+      const lock::LockedDesign design =
+          lock::apply_genotype(original, context, genes, repair);
+
+      const auto result = SatAttack().attack(design.netlist, original);
+      const auto first =
+          reference::first_unlocking_key(design.netlist, original);
+
+      ASSERT_TRUE(result.success);
+      ASSERT_TRUE(first.has_value());
+      EXPECT_EQ(result.recovered_key, *first);
+    }
+  }
 }
 
 TEST(SatAttack, PerIterationStatsTrackFormulaGrowth) {
@@ -254,11 +288,11 @@ TEST(SatAttack, PerIterationStatsTrackFormulaGrowth) {
   ASSERT_TRUE(result.success);
   ASSERT_EQ(result.iterations.size(), result.dip_iterations);
 
-  // The whole point of the cone template: per-DIP growth proportional to
-  // the key cone, not the circuit. Every iteration (two constrained copies)
+  // The DIP enters the graph as constants, so per-DIP growth is
+  // proportional to the key cone, not the circuit. Every iteration (two constrained copies)
   // must add fewer variables than one symbolic copy of the whole netlist.
   sat::Solver fresh;
-  (void)sat::encode_netlist(fresh, design.netlist);
+  (void)reference::encode_netlist(fresh, design.netlist);
   const std::uint64_t full_copy_vars = fresh.num_vars();
   for (const auto& it : result.iterations) {
     EXPECT_LT(it.new_vars, full_copy_vars);

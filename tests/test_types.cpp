@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <tuple>
 #include <vector>
 
@@ -40,6 +41,16 @@ TEST(Arity, SourcesAndFixedGates) {
   EXPECT_EQ(gate_arity(GateType::kAnd).max, 0u);  // unbounded
 }
 
+/// eval_gate_words with every fanin word all-zeros or all-ones: every lane
+/// computes the same vector, so the result must be uniform too.
+bool eval_uniform(GateType type, std::initializer_list<bool> bits) {
+  std::vector<std::uint64_t> words;
+  for (const bool bit : bits) words.push_back(bit ? ~0ULL : 0ULL);
+  const std::uint64_t out = eval_gate_words(type, words.data(), words.size());
+  EXPECT_TRUE(out == 0 || out == ~0ULL) << gate_type_name(type);
+  return out != 0;
+}
+
 struct BinaryTruthCase {
   GateType type;
   // Expected outputs for inputs (0,0), (0,1), (1,0), (1,1).
@@ -53,13 +64,10 @@ TEST_P(BinaryGateTruth, MatchesTruthTable) {
   int idx = 0;
   for (bool a : {false, true}) {
     for (bool b : {false, true}) {
-      const bool bits[2] = {a, b};
-      EXPECT_EQ(eval_gate_bits(param.type, bits, 2), param.expected[idx])
-          << gate_type_name(param.type) << "(" << a << "," << b << ")";
-      // Word-parallel agreement.
       const std::uint64_t words[2] = {a ? ~0ULL : 0ULL, b ? ~0ULL : 0ULL};
       const std::uint64_t out = eval_gate_words(param.type, words, 2);
-      EXPECT_EQ(out, param.expected[idx] ? ~0ULL : 0ULL);
+      EXPECT_EQ(out, param.expected[idx] ? ~0ULL : 0ULL)
+          << gate_type_name(param.type) << "(" << a << "," << b << ")";
       ++idx;
     }
   }
@@ -76,11 +84,10 @@ INSTANTIATE_TEST_SUITE_P(
         BinaryTruthCase{GateType::kXnor, {true, false, false, true}}));
 
 TEST(GateEval, UnaryGates) {
-  const bool f = false, t = true;
-  EXPECT_EQ(eval_gate_bits(GateType::kNot, &f, 1), true);
-  EXPECT_EQ(eval_gate_bits(GateType::kNot, &t, 1), false);
-  EXPECT_EQ(eval_gate_bits(GateType::kBuf, &f, 1), false);
-  EXPECT_EQ(eval_gate_bits(GateType::kBuf, &t, 1), true);
+  EXPECT_EQ(eval_uniform(GateType::kNot, {false}), true);
+  EXPECT_EQ(eval_uniform(GateType::kNot, {true}), false);
+  EXPECT_EQ(eval_uniform(GateType::kBuf, {false}), false);
+  EXPECT_EQ(eval_uniform(GateType::kBuf, {true}), true);
 }
 
 TEST(GateEval, Constants) {
@@ -93,31 +100,28 @@ TEST(GateEval, MuxSelectsCorrectInput) {
   for (bool sel : {false, true}) {
     for (bool in0 : {false, true}) {
       for (bool in1 : {false, true}) {
-        const bool bits[3] = {sel, in0, in1};
-        EXPECT_EQ(eval_gate_bits(GateType::kMux, bits, 3), sel ? in1 : in0);
+        EXPECT_EQ(eval_uniform(GateType::kMux, {sel, in0, in1}),
+                  sel ? in1 : in0);
       }
     }
   }
 }
 
 TEST(GateEval, TernaryAndOr) {
-  const bool tft[3] = {true, false, true};
-  const bool ttt[3] = {true, true, true};
-  const bool fff[3] = {false, false, false};
-  EXPECT_FALSE(eval_gate_bits(GateType::kAnd, tft, 3));
-  EXPECT_TRUE(eval_gate_bits(GateType::kAnd, ttt, 3));
-  EXPECT_TRUE(eval_gate_bits(GateType::kOr, tft, 3));
-  EXPECT_FALSE(eval_gate_bits(GateType::kOr, fff, 3));
-  EXPECT_TRUE(eval_gate_bits(GateType::kNand, tft, 3));
-  EXPECT_FALSE(eval_gate_bits(GateType::kNor, tft, 3));
+  EXPECT_FALSE(eval_uniform(GateType::kAnd, {true, false, true}));
+  EXPECT_TRUE(eval_uniform(GateType::kAnd, {true, true, true}));
+  EXPECT_TRUE(eval_uniform(GateType::kOr, {true, false, true}));
+  EXPECT_FALSE(eval_uniform(GateType::kOr, {false, false, false}));
+  EXPECT_TRUE(eval_uniform(GateType::kNand, {true, false, true}));
+  EXPECT_FALSE(eval_uniform(GateType::kNor, {true, false, true}));
 }
 
 TEST(GateEval, TernaryXorIsParity) {
   for (int mask = 0; mask < 8; ++mask) {
-    const bool bits[3] = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    const bool a = (mask & 1) != 0, b = (mask & 2) != 0, c = (mask & 4) != 0;
     const bool parity = ((mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1)) % 2;
-    EXPECT_EQ(eval_gate_bits(GateType::kXor, bits, 3), parity);
-    EXPECT_EQ(eval_gate_bits(GateType::kXnor, bits, 3), !parity);
+    EXPECT_EQ(eval_uniform(GateType::kXor, {a, b, c}), parity);
+    EXPECT_EQ(eval_uniform(GateType::kXnor, {a, b, c}), !parity);
   }
 }
 
