@@ -13,6 +13,10 @@
 //     predictor, and — on c880, where the oracle-guided loop is feasible —
 //     wall-clock to the SAT attack's proven key
 //   - peak RSS (VmHWM from /proc/self/status) after each scale's section
+//   - SCOPE per call on c880 (K=32) and synth100k (K=8, the campaign's
+//     D-MUX width, and K=32): median and min-max over repeated calls, next
+//     to one whole-netlist rewrite — the cost each of the 2K per-bit
+//     queries paid when every query re-synthesized the design
 //
 // The acceptance metric from the scale PR: decode/s on synth100k within 5x
 // of c880 decode/s at the same K ("c880 ratio" column — per-decode work is
@@ -29,11 +33,14 @@
 
 #include "attacks/attack_scratch.hpp"
 #include "attacks/sat_attack.hpp"
+#include "attacks/scope.hpp"
 #include "attacks/structural.hpp"
 #include "eval/workspace.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/bench_stream.hpp"
+#include "netlist/opt.hpp"
 #include "netlist/simulator.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -111,7 +118,42 @@ struct Tables {
   util::Table attack{
       {"circuit", "K", "attack", "seconds", "key accuracy", "outcome"}};
   util::Table rss{{"circuit", "nodes", "metric", "MB"}};
+  util::Table scope{
+      {"circuit", "K", "phase", "median ms", "min ms", "max ms", "calls"}};
 };
+
+/// SCOPE per call on a D-MUX lock of `original` through one warm scratch,
+/// and the base rewrite every call starts with: one whole-netlist rewrite,
+/// which each per-bit query used to repeat.
+void time_scope(const std::string& name, const netlist::Netlist& original,
+                std::size_t key_bits, std::size_t calls, Tables& t) {
+  const auto design = lock::dmux_lock(original, key_bits, 11);
+  const attack::ScopeAttack scope;
+  attack::AttackScratch scratch;
+  scope.attack(design.netlist, scratch);  // warm the scratch
+  std::vector<double> attack_ms;
+  std::vector<double> rewrite_ms;
+  std::size_t sink = 0;
+  for (std::size_t i = 0; i < calls; ++i) {
+    util::Timer attack_timer;
+    sink += scope.attack(design.netlist, scratch).areas.size();
+    attack_ms.push_back(attack_timer.elapsed_seconds() * 1e3);
+    util::Timer rewrite_timer;
+    const netlist::PinnedAreas areas(design.netlist, scratch.opt);
+    rewrite_ms.push_back(rewrite_timer.elapsed_seconds() * 1e3);
+    sink += areas.base_gate_count();
+  }
+  if (sink == 0) std::abort();  // keep the loops observable
+  const auto add = [&](const char* phase, const std::vector<double>& ms) {
+    t.scope.add_row({name, std::to_string(key_bits), phase,
+                     util::fmt(util::median(ms), 3),
+                     util::fmt(util::min_of(ms), 3),
+                     util::fmt(util::max_of(ms), 3),
+                     std::to_string(ms.size())});
+  };
+  add("scope attack", attack_ms);
+  add("one full rewrite", rewrite_ms);
+}
 
 void run_scale(const std::string& name, const netlist::Netlist& original,
                std::size_t decode_iters, std::size_t probe_reps, bool run_sat,
@@ -257,6 +299,7 @@ int main(int argc, char** argv) {
                   util::fmt(gen_timer.elapsed_seconds(), 3), "0.0"});
     run_scale("c880", c880, args.quick ? 300 : 2000, args.quick ? 50 : 200,
               /*run_sat=*/true, c880_ns_touched, t);
+    time_scope("c880", c880, 32, args.quick ? 5 : 21, t);
   }
 
   for (const auto& profile : netlist::gen::scale_profiles()) {
@@ -272,6 +315,11 @@ int main(int argc, char** argv) {
     const std::size_t probe_reps = million ? 4 : (args.quick ? 5 : 20);
     run_scale(name, original, decode_iters, probe_reps, /*run_sat=*/false,
               c880_ns_touched, t);
+    if (!million) {
+      for (const std::size_t key_bits : {8, 32}) {
+        time_scope(name, original, key_bits, args.quick ? 5 : 11, t);
+      }
+    }
   }
 
   benchx::emit(t.io, args, "design build + streaming I/O");
@@ -279,5 +327,6 @@ int main(int argc, char** argv) {
   benchx::emit(t.probe, args, "corruption probe throughput at scale");
   benchx::emit(t.attack, args, "time to recovered key");
   benchx::emit(t.rss, args, "peak memory");
+  benchx::emit(t.scope, args, "scope attack per call");
   return 0;
 }

@@ -42,10 +42,10 @@ class ScopeAttack {
   /// One-shot convenience: attack(locked, scratch) on a fresh scratch.
   ScopeResult attack(const netlist::Netlist& locked) const;
 
-  /// The per-hypothesis areas come from the flat gate-count optimizer
-  /// (netlist::optimized_gate_count_with_key_bit): exactly the gate counts
-  /// of netlist::optimize_with_key_bit, without materializing either
-  /// synthesized netlist.
+  /// The per-hypothesis areas come from netlist::PinnedAreas: one rewrite
+  /// of the design with every key free, then per (bit, value) only the
+  /// pinned key's fanout is re-evaluated. The counts equal full synthesis
+  /// of each hypothesis, and no synthesized netlist is materialized.
   ScopeResult attack(const netlist::Netlist& locked,
                      AttackScratch& scratch) const;
 

@@ -1,24 +1,17 @@
 #include "netlist/opt.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <functional>
 #include <stdexcept>
-#include <vector>
 
 namespace autolock::netlist {
 
 namespace {
 
-// The rewrite pass is generic over how the output graph is materialized:
-// NetlistBuilder produces a real Netlist (names, name index, validation)
-// for `optimize` / `optimize_with_key_bit`, FlatBuilder appends to plain
-// type/fanin arrays for area-only queries. Both builders assign ids in
-// insertion order, so the two instantiations build structurally identical
-// graphs — the equivalence test in test_workspace.cpp pins this.
-
-/// Rewrite value of one input-netlist node: either a node id in the output
-/// graph or a known constant, packed into one word (bit 32 = "is constant",
-/// bit 0 = constant value when set, low 32 bits = node id otherwise).
+/// Rewrite value of one input-netlist node: either a node id in the
+/// rewritten graph or a known constant, packed into one word (bit 32 = "is
+/// constant", bit 0 = constant value when set, low 32 bits = node id
+/// otherwise).
 using PackedValue = std::uint64_t;
 constexpr PackedValue kConstFlag = 1ULL << 32;
 
@@ -32,133 +25,236 @@ constexpr NodeId node_of(PackedValue v) noexcept {
   return static_cast<NodeId>(v);
 }
 
-class NetlistBuilder {
+/// The rewrite pass over OptScratch. Building the base appends every
+/// emitted gate; a query re-evaluates single input nodes, and a gate whose
+/// base rewrite emitted a node re-emits into that same node id.
+class Rewriter {
  public:
-  // The output shares the input's name table (same design family), so node
-  // and port NameIds can be copied over without ever materializing strings.
-  explicit NetlistBuilder(const Netlist& input)
-      : out_(input.name(), input.names()) {}
+  Rewriter(const Netlist& input, OptScratch& scratch, bool query,
+           std::uint32_t base_nodes, std::size_t area)
+      : input_(&input),
+        s_(&scratch),
+        query_(query),
+        base_nodes_(base_nodes),
+        const0_(static_cast<NodeId>(input.inputs().size())),
+        area_(area) {}
 
-  NodeId add_input(const Node& node) {
-    return out_.add_input(node.name, node.is_key_input);
-  }
-  NodeId add_const(bool b) {
-    return out_.add_const(b, b ? "opt_const1" : "opt_const0");
-  }
-  NodeId add_gate(GateType type, const NodeId* fanins, std::size_t n) {
-    return out_.add_gate(type, std::vector<NodeId>(fanins, fanins + n));
-  }
-  void mark_output(NodeId driver, NameId port_name) {
-    out_.mark_output(driver, port_name);
+  std::size_t area() const noexcept { return area_; }
+
+  void build_base() {
+    const Netlist& input = *input_;
+    const std::size_t n = input.size();
+    s_->values.resize(n);
+    s_->emitted.assign(n, kNoNode);
+    s_->rank.resize(n);
+    s_->ports.assign(n, 0);
+    s_->nodes.clear();
+    s_->fanins.clear();
+    for (const NodeId id : input.inputs()) {
+      s_->values[id] = pack_node(append(GateType::kInput, nullptr, 0));
+    }
+    append(GateType::kConst0, nullptr, 0);  // const0_
+    append(GateType::kConst1, nullptr, 0);  // const0_ + 1
+    const std::vector<NodeId>& order = input.topological_order();
+    for (std::uint32_t i = 0; i < order.size(); ++i) {
+      const NodeId v = order[i];
+      s_->rank[v] = i;
+      if (input.node(v).type == GateType::kInput) continue;
+      current_ = v;
+      s_->values[v] = rewrite_gate(input.node(v));
+    }
+    for (const auto& port : input.outputs()) {
+      ++s_->ports[port.driver];
+      const PackedValue value = s_->values[port.driver];
+      if (!is_const(value)) ++s_->nodes[node_of(value)].refs;
+    }
+    // Every fanin was emitted before its gate, so one sweep down the ids
+    // settles each gate's count before the gate hands references on.
+    for (auto id = static_cast<NodeId>(s_->nodes.size()); id-- > 0;) {
+      const OptNode& node = s_->nodes[id];
+      if (node.refs == 0 || is_source(node.type)) continue;
+      ++area_;
+      for (std::uint32_t e = node.fanin_begin; e < node.fanin_end; ++e) {
+        ++s_->nodes[s_->fanins[e]].refs;
+      }
+    }
+    s_->fanouts.build(input);
   }
 
-  Netlist& netlist() noexcept { return out_; }
+  /// Pins input node `pinned` to `value`, re-evaluates its fanout and
+  /// settles the live-referrer counts; `area()` is then the pinned count.
+  void pin(NodeId pinned, bool value) {
+    const std::vector<NodeId>& order = input_->topological_order();
+    s_->journaled.begin_epoch(base_nodes_);
+    s_->inverter_changed.begin_epoch(base_nodes_);
+    s_->queued.begin_epoch(input_->size());
+    set_value(pinned, pack_const(value));
+    enqueue_consumers(pinned);
+    auto& heap = s_->heap;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const NodeId v = order[heap.back()];
+      heap.pop_back();
+      current_ = v;
+      const PackedValue fresh = rewrite_gate(input_->node(v));
+      if (fresh != s_->values[v]) {
+        set_value(v, fresh);
+        enqueue_consumers(v);
+      } else if (!is_const(fresh) &&
+                 s_->inverter_changed.marked(node_of(fresh))) {
+        // Same node, but NOT(NOT(x)) over it now folds differently.
+        enqueue_consumers(v);
+      }
+    }
+    update_references();
+  }
+
+  /// Restores the base graph, values and counts.
+  void undo(std::uint32_t base_fanins) {
+    for (const auto& [id, node] : s_->node_journal) s_->nodes[id] = node;
+    for (const auto& [v, value] : s_->value_journal) s_->values[v] = value;
+    s_->nodes.resize(base_nodes_);
+    s_->fanins.resize(base_fanins);
+    s_->node_journal.clear();
+    s_->value_journal.clear();
+    s_->rewired.clear();
+  }
 
  private:
-  Netlist out_;
-};
+  // ---- rewritten graph -----------------------------------------------------
 
-class FlatBuilder {
- public:
-  explicit FlatBuilder(OptScratch& scratch) : s_(&scratch) {
-    s_->out_types.clear();
-    s_->out_fanins.clear();
-    s_->out_fanin_begin.assign(1, 0);
-    s_->drivers.clear();
-  }
-
-  NodeId add_input(const Node&) { return add_node(GateType::kInput, nullptr, 0); }
-  NodeId add_const(bool b) {
-    return add_node(b ? GateType::kConst1 : GateType::kConst0, nullptr, 0);
-  }
-  NodeId add_gate(GateType type, const NodeId* fanins, std::size_t n) {
-    return add_node(type, fanins, n);
-  }
-  void mark_output(NodeId driver, NameId) { s_->drivers.push_back(driver); }
-
- private:
-  NodeId add_node(GateType type, const NodeId* fanins, std::size_t n) {
-    const auto id = static_cast<NodeId>(s_->out_types.size());
-    s_->out_types.push_back(static_cast<std::uint8_t>(type));
-    s_->out_fanins.insert(s_->out_fanins.end(), fanins, fanins + n);
-    s_->out_fanin_begin.push_back(
-        static_cast<std::uint32_t>(s_->out_fanins.size()));
+  NodeId append(GateType type, const NodeId* fanins, std::size_t n) {
+    const auto id = static_cast<NodeId>(s_->nodes.size());
+    OptNode node;
+    node.type = type;
+    node.fanin_begin = static_cast<std::uint32_t>(s_->fanins.size());
+    s_->fanins.insert(s_->fanins.end(), fanins, fanins + n);
+    node.fanin_end = static_cast<std::uint32_t>(s_->fanins.size());
+    s_->nodes.push_back(node);
     return id;
   }
 
-  OptScratch* s_;
-};
+  /// x when `id` is a rewriter-emitted NOT(x) (every NOT is), else kNoNode.
+  NodeId inverter_input(NodeId id) const {
+    const OptNode& node = s_->nodes[id];
+    return node.type == GateType::kNot ? s_->fanins[node.fanin_begin]
+                                       : kNoNode;
+  }
 
-template <class Builder>
-class RewriterT {
- public:
-  RewriterT(const Netlist& input, OptScratch& scratch, Builder& builder)
-      : input_(&input), s_(&scratch), builder_(&builder) {}
+  /// Records a base node's state before a query first edits it.
+  void journal(NodeId id) {
+    if (id < base_nodes_ && s_->journaled.try_mark(id)) {
+      s_->node_journal.emplace_back(id, s_->nodes[id]);
+    }
+  }
 
-  /// Rewrites `input` into the builder. `stats` (when non-null) receives
-  /// the fold/collapse counters; area fields are filled by the callers.
-  void run(const std::vector<std::optional<bool>>& pinned, OptStats* stats) {
-    OptStats local;
-    s_->values.resize(input_->size());
-    s_->inverter_input.clear();
+  NodeId emit(GateType type, const NodeId* fanins, std::size_t n) {
+    if (!query_) {
+      const NodeId id = append(type, fanins, n);
+      s_->emitted[current_] = id;
+      return id;
+    }
+    const NodeId id = s_->emitted[current_];
+    if (id == kNoNode) return append(type, fanins, n);  // fresh, dead so far
+    OptNode& node = s_->nodes[id];
+    if (node.type == type && node.fanin_end - node.fanin_begin == n &&
+        std::equal(fanins, fanins + n, s_->fanins.begin() + node.fanin_begin)) {
+      return id;
+    }
+    const NodeId inverted = inverter_input(id);
+    journal(id);
+    s_->rewired.push_back({id, node.fanin_begin, node.fanin_end, false});
+    node.type = type;
+    node.fanin_begin = static_cast<std::uint32_t>(s_->fanins.size());
+    s_->fanins.insert(s_->fanins.end(), fanins, fanins + n);
+    node.fanin_end = static_cast<std::uint32_t>(s_->fanins.size());
+    if (inverter_input(id) != inverted) s_->inverter_changed.mark(id);
+    return id;
+  }
 
-    // Inputs first (interface stability). Pinned key inputs keep their
-    // input node but uses are redirected to a constant.
-    std::size_t input_index = 0;
-    for (const NodeId id : input_->inputs()) {
-      const Node& node = input_->node(id);
-      const NodeId fresh = builder_->add_input(node);
-      if (pinned[input_index].has_value()) {
-        s_->values[id] = pack_const(*pinned[input_index]);
-        ++local.constants_folded;
-        (void)fresh;
-      } else {
-        s_->values[id] = pack_node(fresh);
+  // ---- live-referrer counts ------------------------------------------------
+
+  /// One live referrer more (`acquire`) or fewer for `id`: a gate gaining
+  /// its first comes alive and references its own fanins in turn; a gate
+  /// losing its last dies and releases them.
+  void count_referrer(NodeId id, bool acquire) {
+    auto& stack = s_->stack;
+    stack.push_back(id);
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      if (is_source(s_->nodes[v].type)) continue;
+      journal(v);
+      OptNode& node = s_->nodes[v];
+      if (acquire ? node.refs++ != 0 : --node.refs != 0) continue;
+      area_ = acquire ? area_ + 1 : area_ - 1;
+      stack.insert(stack.end(), s_->fanins.begin() + node.fanin_begin,
+                   s_->fanins.begin() + node.fanin_end);
+    }
+  }
+
+  /// Moves the references of every rewired node and re-driven output port
+  /// from the old targets to the new. All acquisitions come first, so no
+  /// gate dies only to come alive again.
+  void update_references() {
+    for (auto& rewire : s_->rewired) {
+      rewire.held = s_->nodes[rewire.node].refs > 0;
+    }
+    for (const auto& rewire : s_->rewired) {
+      if (!rewire.held) continue;
+      const OptNode& node = s_->nodes[rewire.node];
+      for (std::uint32_t e = node.fanin_begin; e < node.fanin_end; ++e) {
+        count_referrer(s_->fanins[e], true);
       }
-      ++input_index;
     }
-
-    for (const NodeId v : input_->topological_order()) {
-      const Node& node = input_->node(v);
-      if (node.type == GateType::kInput) continue;
-      s_->values[v] = rewrite_gate(node, local);
+    for (const auto& [v, old] : s_->value_journal) {
+      const PackedValue value = s_->values[v];
+      if (is_const(value)) continue;
+      for (std::uint32_t p = 0; p < s_->ports[v]; ++p) {
+        count_referrer(node_of(value), true);
+      }
     }
-
-    for (const auto& port : input_->outputs()) {
-      builder_->mark_output(materialize(s_->values[port.driver]), port.name);
+    for (const auto& rewire : s_->rewired) {
+      if (!rewire.held) continue;
+      for (std::uint32_t e = rewire.old_begin; e < rewire.old_end; ++e) {
+        count_referrer(s_->fanins[e], false);
+      }
     }
-    if (stats != nullptr) *stats = local;
+    for (const auto& [v, old] : s_->value_journal) {
+      if (is_const(old)) continue;
+      for (std::uint32_t p = 0; p < s_->ports[v]; ++p) {
+        count_referrer(node_of(old), false);
+      }
+    }
   }
 
- private:
-  NodeId get_const(bool b) {
-    NodeId& cache = b ? const1_ : const0_;
-    if (cache == kNoNode) cache = builder_->add_const(b);
-    return cache;
+  // ---- query worklist ------------------------------------------------------
+
+  void set_value(NodeId v, PackedValue value) {
+    s_->value_journal.emplace_back(v, s_->values[v]);
+    s_->values[v] = value;
   }
 
-  NodeId materialize(PackedValue value) {
-    return is_const(value) ? get_const(const_of(value)) : node_of(value);
-  }
-
-  NodeId emit_gate(GateType type, const NodeId* fanins, std::size_t n) {
-    const NodeId fresh = builder_->add_gate(type, fanins, n);
-    if (s_->inverter_input.size() <= fresh) {
-      s_->inverter_input.resize(fresh + 1, kNoNode);
+  void enqueue_consumers(NodeId v) {
+    for (const NodeId consumer : s_->fanouts.fanouts(v)) {
+      if (!s_->queued.try_mark(consumer)) continue;
+      s_->heap.push_back(s_->rank[consumer]);
+      std::push_heap(s_->heap.begin(), s_->heap.end(), std::greater<>());
     }
-    return fresh;
   }
 
-  PackedValue make_not(NodeId node, OptStats& stats) {
+  // ---- rewrite rules -------------------------------------------------------
+
+  NodeId materialize(PackedValue value) const {
+    return is_const(value) ? const0_ + (const_of(value) ? 1 : 0)
+                           : node_of(value);
+  }
+
+  PackedValue make_not(NodeId node) {
     // NOT(NOT(x)) -> x.
-    if (node < s_->inverter_input.size() &&
-        s_->inverter_input[node] != kNoNode) {
-      ++stats.buffers_collapsed;
-      return pack_node(s_->inverter_input[node]);
-    }
-    const NodeId fresh = emit_gate(GateType::kNot, &node, 1);
-    s_->inverter_input[fresh] = node;
-    return pack_node(fresh);
+    const NodeId inner = inverter_input(node);
+    if (inner != kNoNode) return pack_node(inner);
+    return pack_node(emit(GateType::kNot, &node, 1));
   }
 
   PackedValue finish_andor(bool inverted, bool is_and) {
@@ -171,116 +267,87 @@ class RewriterT {
       return pack_const(is_and != inverted);
     }
     if (live.size() == 1) {
-      if (!inverted) return pack_node(live[0]);
-      // Historical behaviour: inversions introduced here do not count
-      // towards buffers_collapsed.
-      OptStats scratch_stats;
-      return make_not(live[0], scratch_stats);
+      return inverted ? make_not(live[0]) : pack_node(live[0]);
     }
     const GateType type =
         is_and ? (inverted ? GateType::kNand : GateType::kAnd)
                : (inverted ? GateType::kNor : GateType::kOr);
-    return pack_node(emit_gate(type, live.data(), live.size()));
+    return pack_node(emit(type, live.data(), live.size()));
   }
 
-  PackedValue rewrite_gate(const Node& node, OptStats& stats) {
-    std::vector<PackedValue>& ins = s_->ins;
-    ins.clear();
-    for (const NodeId fanin : node.fanins) ins.push_back(s_->values[fanin]);
-
+  PackedValue rewrite_gate(const Node& node) {
+    const std::vector<PackedValue>& values = s_->values;
+    std::vector<NodeId>& live = s_->live;
     switch (node.type) {
       case GateType::kConst0:
         return pack_const(false);
       case GateType::kConst1:
         return pack_const(true);
       case GateType::kBuf:
-        ++stats.buffers_collapsed;
-        return ins[0];
-      case GateType::kNot:
-        if (is_const(ins[0])) {
-          ++stats.constants_folded;
-          return pack_const(!const_of(ins[0]));
-        }
-        return make_not(node_of(ins[0]), stats);
-      case GateType::kAnd:
-      case GateType::kNand: {
-        std::vector<NodeId>& live = s_->live;
-        live.clear();
-        for (const PackedValue in : ins) {
-          if (is_const(in)) {
-            ++stats.constants_folded;
-            if (!const_of(in)) {
-              return pack_const(node.type == GateType::kNand);
-            }
-            continue;  // AND with 1: drop
-          }
-          live.push_back(node_of(in));
-        }
-        return finish_andor(node.type == GateType::kNand, /*is_and=*/true);
+        return values[node.fanins[0]];
+      case GateType::kNot: {
+        const PackedValue in = values[node.fanins[0]];
+        if (is_const(in)) return pack_const(!const_of(in));
+        return make_not(node_of(in));
       }
+      case GateType::kAnd:
+      case GateType::kNand:
       case GateType::kOr:
       case GateType::kNor: {
-        std::vector<NodeId>& live = s_->live;
+        const bool is_and =
+            node.type == GateType::kAnd || node.type == GateType::kNand;
+        const bool inverted =
+            node.type == GateType::kNand || node.type == GateType::kNor;
         live.clear();
-        for (const PackedValue in : ins) {
-          if (is_const(in)) {
-            ++stats.constants_folded;
-            if (const_of(in)) {
-              return pack_const(node.type != GateType::kNor);
-            }
-            continue;  // OR with 0: drop
+        for (const NodeId fanin : node.fanins) {
+          const PackedValue in = values[fanin];
+          if (!is_const(in)) {
+            live.push_back(node_of(in));
+          } else if (const_of(in) != is_and) {
+            // The controlling constant: AND with 0, OR with 1.
+            return pack_const(is_and == inverted);
           }
-          live.push_back(node_of(in));
         }
-        return finish_andor(node.type == GateType::kNor, /*is_and=*/false);
+        return finish_andor(inverted, is_and);
       }
       case GateType::kXor:
       case GateType::kXnor: {
         bool phase = node.type == GateType::kXnor;
-        std::vector<NodeId>& live = s_->live;
         live.clear();
-        for (const PackedValue in : ins) {
+        for (const NodeId fanin : node.fanins) {
+          const PackedValue in = values[fanin];
           if (is_const(in)) {
-            ++stats.constants_folded;
             phase ^= const_of(in);
-            continue;
+          } else {
+            live.push_back(node_of(in));
           }
-          live.push_back(node_of(in));
         }
         if (live.empty()) return pack_const(phase);
         if (live.size() == 1) {
-          if (!phase) return pack_node(live[0]);
-          return make_not(live[0], stats);
+          return phase ? make_not(live[0]) : pack_node(live[0]);
         }
-        return pack_node(emit_gate(phase ? GateType::kXnor : GateType::kXor,
-                                   live.data(), live.size()));
+        return pack_node(emit(phase ? GateType::kXnor : GateType::kXor,
+                              live.data(), live.size()));
       }
       case GateType::kMux: {
-        const PackedValue sel = ins[0];
-        const PackedValue in0 = ins[1];
-        const PackedValue in1 = ins[2];
-        if (is_const(sel)) {
-          ++stats.constants_folded;
-          return const_of(sel) ? in1 : in0;
-        }
+        const PackedValue sel = values[node.fanins[0]];
+        const PackedValue in0 = values[node.fanins[1]];
+        const PackedValue in1 = values[node.fanins[2]];
+        if (is_const(sel)) return const_of(sel) ? in1 : in0;
         // MUX with equal data inputs is the data input.
         if (!is_const(in0) && !is_const(in1) &&
             node_of(in0) == node_of(in1)) {
-          ++stats.constants_folded;
           return in0;
         }
         if (is_const(in0) && is_const(in1)) {
-          ++stats.constants_folded;
-          if (const_of(in0) == const_of(in1)) {
-            return pack_const(const_of(in0));
-          }
+          if (const_of(in0) == const_of(in1)) return in0;
           // MUX(s, 0, 1) = s ; MUX(s, 1, 0) = ~s.
-          if (!const_of(in0)) return pack_node(node_of(sel));
-          return make_not(node_of(sel), stats);
+          if (!const_of(in0)) return sel;
+          return make_not(node_of(sel));
         }
         const NodeId fanins[3] = {node_of(sel), materialize(in0),
                                   materialize(in1)};
-        return pack_node(emit_gate(GateType::kMux, fanins, 3));
+        return pack_node(emit(GateType::kMux, fanins, 3));
       }
       case GateType::kInput:
         break;  // unreachable
@@ -290,106 +357,34 @@ class RewriterT {
 
   const Netlist* input_;
   OptScratch* s_;
-  Builder* builder_;
-  NodeId const0_ = kNoNode;
-  NodeId const1_ = kNoNode;
+  bool query_;
+  std::uint32_t base_nodes_;  // 0 while building the base: nothing journaled
+  NodeId const0_;
+  std::size_t area_;
+  NodeId current_ = kNoNode;
 };
-
-Netlist optimize_impl(const Netlist& input, OptStats* stats,
-                      const std::vector<std::optional<bool>>& pinned) {
-  OptScratch scratch;
-  NetlistBuilder builder(input);
-  RewriterT<NetlistBuilder> rewriter(input, scratch, builder);
-  OptStats local;
-  rewriter.run(pinned, stats != nullptr ? &local : nullptr);
-  Netlist compact = builder.netlist().compacted();
-  if (stats != nullptr) {
-    local.gates_before = input.gate_count();
-    local.gates_after = compact.gate_count();
-    local.dead_removed = builder.netlist().gate_count() - local.gates_after;
-    *stats = local;
-  }
-  return compact;
-}
-
-/// Live (output-reachable) non-source nodes of the flat output graph —
-/// exactly what `compacted().gate_count()` reports for the Netlist path.
-std::size_t flat_live_gate_count(OptScratch& s) {
-  const std::size_t n = s.out_types.size();
-  s.marks.begin_epoch(n);
-  s.stack.clear();
-  for (const NodeId driver : s.drivers) {
-    if (s.marks.try_mark(driver)) s.stack.push_back(driver);
-  }
-  std::size_t gates = 0;
-  while (!s.stack.empty()) {
-    const NodeId v = s.stack.back();
-    s.stack.pop_back();
-    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++gates;
-    for (std::uint32_t e = s.out_fanin_begin[v]; e < s.out_fanin_begin[v + 1];
-         ++e) {
-      const NodeId fanin = s.out_fanins[e];
-      if (s.marks.try_mark(fanin)) s.stack.push_back(fanin);
-    }
-  }
-  return gates;
-}
 
 }  // namespace
 
-Netlist optimize(const Netlist& input, OptStats* stats) {
-  return optimize_impl(input, stats,
-                       std::vector<std::optional<bool>>(
-                           input.inputs().size(), std::nullopt));
+PinnedAreas::PinnedAreas(const Netlist& input, OptScratch& scratch)
+    : input_(&input), s_(&scratch) {
+  Rewriter rewriter(input, scratch, /*query=*/false, 0, 0);
+  rewriter.build_base();
+  base_area_ = rewriter.area();
+  base_nodes_ = static_cast<std::uint32_t>(scratch.nodes.size());
+  base_fanins_ = static_cast<std::uint32_t>(scratch.fanins.size());
 }
 
-Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
-                              bool value, OptStats* stats) {
-  const auto keys = input.key_inputs();
-  if (bit >= keys.size()) {
-    throw std::invalid_argument("optimize_with_key_bit: bit out of range");
+std::size_t PinnedAreas::gate_count_with(NodeId input_node, bool value) {
+  if (!input_->valid_id(input_node) ||
+      input_->node(input_node).type != GateType::kInput) {
+    throw std::invalid_argument("PinnedAreas: pinned node is not an input");
   }
-  std::vector<std::optional<bool>> pinned(input.inputs().size(), std::nullopt);
-  const auto& all_inputs = input.inputs();
-  for (std::size_t i = 0; i < all_inputs.size(); ++i) {
-    if (all_inputs[i] == keys[bit]) pinned[i] = value;
-  }
-  return optimize_impl(input, stats, pinned);
-}
-
-std::size_t optimized_gate_count_with_key_bit(const Netlist& input,
-                                              std::size_t bit, bool value,
-                                              OptScratch& scratch) {
-  const auto& all_inputs = input.inputs();
-  // The vector is all-nullopt except the single slot the previous query
-  // pinned — reset just that slot unless the interface width changed, so a
-  // SCOPE sweep (2 * key_bits queries per design) costs O(1) here, not
-  // O(inputs) per query.
-  if (scratch.pinned.size() != all_inputs.size()) {
-    scratch.pinned.assign(all_inputs.size(), std::nullopt);
-  } else if (scratch.last_pinned < scratch.pinned.size()) {
-    scratch.pinned[scratch.last_pinned] = std::nullopt;
-  }
-  scratch.last_pinned = static_cast<std::size_t>(-1);
-  std::size_t key_seen = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < all_inputs.size(); ++i) {
-    if (!input.node(all_inputs[i]).is_key_input) continue;
-    if (key_seen++ == bit) {
-      scratch.pinned[i] = value;
-      scratch.last_pinned = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    throw std::invalid_argument(
-        "optimized_gate_count_with_key_bit: bit out of range");
-  }
-  FlatBuilder builder(scratch);
-  RewriterT<FlatBuilder> rewriter(input, scratch, builder);
-  rewriter.run(scratch.pinned, nullptr);
-  return flat_live_gate_count(scratch);
+  Rewriter rewriter(*input_, *s_, /*query=*/true, base_nodes_, base_area_);
+  rewriter.pin(input_node, value);
+  const std::size_t area = rewriter.area();
+  rewriter.undo(base_fanins_);
+  return area;
 }
 
 }  // namespace autolock::netlist

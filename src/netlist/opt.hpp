@@ -1,80 +1,96 @@
-// Netlist optimization passes: constant propagation, algebraic
-// simplification of degenerate gates, buffer collapsing, and dead-logic
-// removal.
+// Key-pinned area queries for the SCOPE-style oracle-less attack
+// (attacks/scope.hpp): the gate count a synthesis pass leaves when one key
+// input is tied to a constant. The pass is constant propagation, algebraic
+// simplification of degenerate gates (AND(x) -> x, XOR(x, 0) -> x,
+// NOT(NOT(x)) -> x, MUX with a constant select or equal data -> data,
+// MUX(s, 0, 1) -> s), buffer collapsing and dead-logic removal.
 //
-// Two roles in this repo:
-//  1. Substrate realism — defenders resynthesize locked netlists before
-//     handing them to the foundry; attacks must not rely on unoptimized
-//     artifacts (our tests check locking survives optimization).
-//  2. The SCOPE-style oracle-less attack (attacks/scope.hpp) scores key-bit
-//     hypotheses by how much the circuit simplifies under each constant —
-//     which requires exactly this pass.
+// PinnedAreas rewrites the design once with every input free and keeps that
+// base graph, together with each rewritten node's count of live referrers
+// (output ports included). A (key, value) query then re-evaluates only the
+// pinned key's fanout, in topological order, and counts the gates that die
+// or come alive; an undo journal restores the base afterwards (the
+// journaled-reset idea of locking/decode_topo.hpp). The rewriter does no
+// structural hashing, so a gate's rewrite depends only on its fanins'
+// values: a re-emitted gate keeps its base node id with new fanins, and
+// propagation stops there unless that changes what NOT(NOT(x)) folds to.
+// The full-synthesis oracle in tests/reference/opt.hpp pins every count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
+#include "netlist/csr.hpp"
 #include "netlist/netlist.hpp"
 #include "util/epoch_flags.hpp"
 
 namespace autolock::netlist {
 
-struct OptStats {
-  std::size_t gates_before = 0;
-  std::size_t gates_after = 0;
-  std::size_t constants_folded = 0;
-  std::size_t buffers_collapsed = 0;
-  std::size_t dead_removed = 0;
+/// One node of the rewritten graph.
+struct OptNode {
+  std::uint32_t fanin_begin = 0;  // [begin, end) into OptScratch::fanins
+  std::uint32_t fanin_end = 0;
+  /// Live referrers: fanin slots of live nodes plus output ports. A gate is
+  /// live, and counts towards the area, iff refs > 0.
+  std::uint32_t refs = 0;
+  GateType type = GateType::kInput;
 };
 
-/// Returns an optimized, functionally-equivalent copy of `input`:
-///  - constant folding (gates with constant fanins simplify or disappear),
-///  - identity rules (AND(x) -> x, XOR(x, 0) -> x, NOT(NOT(x)) -> x, MUX
-///    with constant select -> selected input, MUX with equal data -> data),
-///  - buffer collapsing,
-///  - dead-node elimination (inputs are always preserved).
-/// Output names of ports are preserved; internal node names may change.
-Netlist optimize(const Netlist& input, OptStats* stats = nullptr);
-
-/// Convenience: optimize with key input `bit` pinned to `value` (the key
-/// input is *kept* in the interface but its uses are replaced by the
-/// constant). Used by hypothesis-testing attacks.
-Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
-                              bool value, OptStats* stats = nullptr);
-
-/// Reusable working storage for the allocation-light optimizer paths (one
-/// per worker thread). Contents are an implementation detail of opt.cpp;
-/// callers only construct it and pass it back in.
+/// Reusable working storage for PinnedAreas (one per worker thread).
+/// Contents are an implementation detail of opt.cpp; callers only construct
+/// it and pass it in.
 struct OptScratch {
-  // Rewrite state: packed per-input-node values and per-gate staging.
-  std::vector<std::uint64_t> values;
-  std::vector<std::uint64_t> ins;
+  // Per node of the input netlist.
+  std::vector<std::uint64_t> values;  // packed rewrite value
+  std::vector<NodeId> emitted;        // node its base rewrite emitted
+  std::vector<std::uint32_t> rank;    // position in topological order
+  std::vector<std::uint32_t> ports;   // output ports it drives
+  CsrFanouts fanouts;
+  // Rewritten graph: base nodes first, then a query's fresh nodes.
+  std::vector<OptNode> nodes;
+  std::vector<NodeId> fanins;
   std::vector<NodeId> live;
-  // Flat output graph (types + CSR fanins), built instead of a Netlist.
-  std::vector<std::uint8_t> out_types;
-  std::vector<std::uint32_t> out_fanin_begin;
-  std::vector<NodeId> out_fanins;
-  std::vector<NodeId> inverter_input;
-  std::vector<NodeId> drivers;
   std::vector<NodeId> stack;
-  std::vector<std::optional<bool>> pinned;
-  /// Index into `pinned` set by the previous SCOPE query (SIZE_MAX = none):
-  /// a repeat query over the same interface clears just that slot instead
-  /// of re-assigning the whole O(inputs) vector.
-  std::size_t last_pinned = static_cast<std::size_t>(-1);
-  util::EpochFlags marks;
+  // Query state, undone after every query.
+  struct Rewire {
+    NodeId node;
+    std::uint32_t old_begin;
+    std::uint32_t old_end;
+    bool held;  // live before the query's reference updates
+  };
+  std::vector<Rewire> rewired;
+  std::vector<std::pair<NodeId, OptNode>> node_journal;
+  std::vector<std::pair<NodeId, std::uint64_t>> value_journal;
+  std::vector<std::uint32_t> heap;
+  util::EpochFlags journaled;         // rewritten nodes
+  util::EpochFlags inverter_changed;  // rewritten nodes
+  util::EpochFlags queued;            // input-netlist nodes
 };
 
-/// Gate count of the synthesized result of optimize_with_key_bit — exactly
-/// the value of `optimize_with_key_bit(input, bit, value).gate_count()` —
-/// computed through a flat value-numbering pass that materializes no
-/// Netlist (no node names, no name index, no compaction copy). This is the
-/// SCOPE attack's inner loop: 2 * key_bits synthesis runs per evaluated
-/// design, where only the area is consumed.
-std::size_t optimized_gate_count_with_key_bit(const Netlist& input,
-                                              std::size_t bit, bool value,
-                                              OptScratch& scratch);
+/// Synthesized gate counts of `input` under single-input pins. Construction
+/// does the one base rewrite; `input` must stay unchanged and `scratch`
+/// unshared while the object is in use.
+class PinnedAreas {
+ public:
+  PinnedAreas(const Netlist& input, OptScratch& scratch);
+
+  /// Gate count with every input free.
+  std::size_t base_gate_count() const noexcept { return base_area_; }
+
+  /// Gate count of the synthesized design with input node `input_node`
+  /// (typically a key input) tied to `value`; the input stays in the
+  /// interface. Throws std::invalid_argument if `input_node` is not an
+  /// input.
+  std::size_t gate_count_with(NodeId input_node, bool value);
+
+ private:
+  const Netlist* input_;
+  OptScratch* s_;
+  std::size_t base_area_ = 0;
+  std::uint32_t base_nodes_ = 0;
+  std::uint32_t base_fanins_ = 0;
+};
 
 }  // namespace autolock::netlist

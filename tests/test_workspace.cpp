@@ -1,6 +1,6 @@
 // The allocation-free evaluation hot path must compute exactly what the
 // straightforward allocating computations do: per-worker EvalWorkspaces,
-// CSR attack graphs, the flat-optimizer area queries, epoch-stamped
+// CSR attack graphs, the key-pinned area queries, epoch-stamped
 // traversals and buffer-reusing decode are each pinned against an
 // independent oracle (tests/reference/ or an inline rebuild) — across
 // thread counts, and whether a workspace is fresh or has evaluated a
@@ -23,6 +23,7 @@
 #include "netlist/opt.hpp"
 #include "netlist/simulator.hpp"
 #include "reference/eval.hpp"
+#include "reference/opt.hpp"
 #include "reference/scope.hpp"
 #include "util/rng.hpp"
 
@@ -43,18 +44,19 @@ eval::EvalPipelineConfig attack_mix(std::uint64_t seed) {
   return config;
 }
 
-// ---- flat optimizer vs full synthesis --------------------------------------
+// ---- key-pinned areas vs full synthesis ------------------------------------
 
 TEST(FlatOptimizer, GateCountMatchesFullSynthesisOnMuxLocking) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 3);
   const auto design = lock::dmux_lock(original, 12, 3);
-  netlist::OptScratch scratch;  // one scratch across every query: reuse
+  netlist::OptScratch scratch;
+  netlist::PinnedAreas areas(design.netlist, scratch);
+  const auto keys = design.netlist.key_inputs();
   for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
     for (const bool value : {false, true}) {
       const auto synthesized =
-          netlist::optimize_with_key_bit(design.netlist, bit, value);
-      EXPECT_EQ(netlist::optimized_gate_count_with_key_bit(design.netlist, bit,
-                                                           value, scratch),
+          reference::optimize_with_key_bit(design.netlist, bit, value);
+      EXPECT_EQ(areas.gate_count_with(keys[bit], value),
                 synthesized.gate_count())
           << "bit " << bit << " value " << value;
     }
@@ -68,12 +70,13 @@ TEST(FlatOptimizer, GateCountMatchesFullSynthesisOnRll) {
   const Netlist original = profile(netlist::gen::ProfileId::kC880, 5);
   const auto design = lock::rll_lock(original, 16, 5);
   netlist::OptScratch scratch;
+  netlist::PinnedAreas areas(design.netlist, scratch);
+  const auto keys = design.netlist.key_inputs();
   for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
     for (const bool value : {false, true}) {
       const auto synthesized =
-          netlist::optimize_with_key_bit(design.netlist, bit, value);
-      EXPECT_EQ(netlist::optimized_gate_count_with_key_bit(design.netlist, bit,
-                                                           value, scratch),
+          reference::optimize_with_key_bit(design.netlist, bit, value);
+      EXPECT_EQ(areas.gate_count_with(keys[bit], value),
                 synthesized.gate_count())
           << "bit " << bit << " value " << value;
     }
