@@ -8,6 +8,7 @@
 // surrogate should land between random and the GNN.
 #include "bench/common.hpp"
 
+#include "attacks/structural.hpp"
 #include "util/stats.hpp"
 
 int main(int argc, char** argv) {

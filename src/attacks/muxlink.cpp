@@ -1,14 +1,12 @@
 #include "attacks/muxlink.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "attacks/attack_scratch.hpp"
+#include "attacks/link_training.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::attack {
-
-using netlist::NodeId;
 
 MuxLinkAttack::MuxLinkAttack(MuxLinkConfig config) : config_(config) {}
 
@@ -25,86 +23,11 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
   if (graph.problems().empty()) return result;
 
   util::Rng rng(config_.seed ^ (locked.size() * 0x9E37ULL));
-
-  // ---- assemble the self-supervised training set ---------------------------
-  std::vector<CandidateLink>& positives = scratch.positives;
-  positives = graph.known_links();
-  if (positives.size() > config_.max_train_links) {
-    rng.shuffle(positives);
-    positives.resize(config_.max_train_links);
+  if (!sample_training_links(graph, config_.max_train_links, rng, scratch)) {
+    return result;
   }
-
-  // Present nodes, split into "possible drivers" (anything present) and
-  // "possible sinks" (present gates with fanins) so negatives share the
-  // directional shape of positives.
-  std::vector<NodeId>& present_nodes = scratch.present_nodes;
-  std::vector<NodeId>& present_sinks = scratch.present_sinks;
-  present_nodes.clear();
-  present_sinks.clear();
-  for (NodeId v = 0; v < locked.size(); ++v) {
-    if (!graph.in_graph(v)) continue;
-    present_nodes.push_back(v);
-    if (!locked.node(v).fanins.empty()) present_sinks.push_back(v);
-  }
-  if (present_nodes.size() < 4 || present_sinks.empty()) return result;
-
-  auto is_adjacent = [&](NodeId a, NodeId b) {
-    const auto list = graph.neighbors(a);
-    return std::binary_search(list.begin(), list.end(), b);
-  };
-
-  // Negatives: half uniform non-links, half *hard* negatives — a false
-  // driver drawn from the sink's 2..3-hop neighbourhood, which is exactly
-  // the shape of the wrong MUX candidate the attack must reject at
-  // inference time.
-  auto sample_hard_negative = [&](CandidateLink& out) {
-    const NodeId v = present_sinks[rng.next_below(present_sinks.size())];
-    // Bounded BFS to 3 hops; visited marks are epoch-stamped, so this
-    // allocates nothing once the scratch is warm.
-    std::vector<NodeId>& ring = scratch.ring;
-    std::vector<NodeId>& frontier = scratch.frontier;
-    std::vector<NodeId>& next = scratch.next_frontier;
-    ring.clear();
-    frontier.clear();
-    frontier.push_back(v);
-    scratch.seen.begin_epoch(locked.size());
-    scratch.seen.mark(v);
-    for (int hop = 1; hop <= 3; ++hop) {
-      next.clear();
-      for (const NodeId x : frontier) {
-        for (const NodeId y : graph.neighbors(x)) {
-          if (!scratch.seen.try_mark(y)) continue;
-          next.push_back(y);
-          if (hop >= 2) ring.push_back(y);  // distance 2..3: non-adjacent
-        }
-      }
-      std::swap(frontier, next);
-      if (ring.size() > 64) break;
-    }
-    if (ring.empty()) return false;
-    out = CandidateLink{ring[rng.next_below(ring.size())], v};
-    return true;
-  };
-
-  std::vector<CandidateLink>& negatives = scratch.negatives;
-  negatives.clear();
-  negatives.reserve(positives.size());
-  std::size_t guard = 0;
-  while (negatives.size() < positives.size() &&
-         guard < 100 * positives.size() + 1000) {
-    ++guard;
-    if (negatives.size() % 2 == 0) {
-      CandidateLink hard;
-      if (sample_hard_negative(hard)) {
-        negatives.push_back(hard);
-        continue;
-      }
-    }
-    const NodeId u = present_nodes[rng.next_below(present_nodes.size())];
-    const NodeId v = present_sinks[rng.next_below(present_sinks.size())];
-    if (u == v || is_adjacent(u, v)) continue;
-    negatives.push_back(CandidateLink{u, v});
-  }
+  const std::vector<CandidateLink>& positives = scratch.positives;
+  const std::vector<CandidateLink>& negatives = scratch.negatives;
 
   // Assemble training samples into the scratch arena: slots (and their
   // adjacency/feature buffers) are reused across designs and epochs instead
@@ -151,39 +74,17 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
   }
 
   // ---- decide every key bit -------------------------------------------------
-  int max_bit = -1;
-  for (const auto& problem : graph.problems()) {
-    max_bit = std::max(max_bit, problem.key_bit_index);
-  }
-  result.predicted_bits.assign(static_cast<std::size_t>(max_bit) + 1, 0);
-  result.margins.assign(static_cast<std::size_t>(max_bit) + 1, 0.0);
-  result.thresholded_bits.assign(static_cast<std::size_t>(max_bit) + 1, -1);
-  result.bit_attacked.assign(static_cast<std::size_t>(max_bit) + 1, 0);
-
-  for (const auto& problem : graph.problems()) {
-    auto mean_prob = [&](const std::vector<CandidateLink>& links) {
-      double sum = 0.0;
-      for (const auto& link : links) {
+  decide_key_bits(
+      graph,
+      [&](const CandidateLink& link) {
         Subgraph& sub = scratch.inference_subgraph;
         extract_subgraph_into(graph, link.u, link.v, config_.subgraph,
                               scratch.subgraph, sub);
         double p = 0.0;
         for (const Gnn& model : models) p += model.predict(sub, scratch.gnn);
-        sum += p / static_cast<double>(models.size());
-      }
-      return links.empty() ? 0.5 : sum / static_cast<double>(links.size());
-    };
-    const double p0 = mean_prob(problem.if_zero);
-    const double p1 = mean_prob(problem.if_one);
-    const int bit = problem.key_bit_index;
-    const int decision = p1 > p0 ? 1 : 0;
-    const double margin = std::abs(p1 - p0);
-    result.predicted_bits[bit] = decision;
-    result.margins[bit] = margin;
-    result.thresholded_bits[bit] =
-        margin >= config_.decision_threshold ? decision : -1;
-    result.bit_attacked[bit] = 1;
-  }
+        return p / static_cast<double>(models.size());
+      },
+      result);
   return result;
 }
 
@@ -200,14 +101,8 @@ MuxLinkScore MuxLinkAttack::score(const MuxLinkResult& result,
   for (std::size_t bit = 0; bit < correct_key.size(); ++bit) {
     // A bit without a MUX-link hypothesis (non-MUX key gate, or beyond the
     // attacked range) scores as a coin flip: crediting the forced-0 default
-    // would reward the attack for key bits it never examined. Results from
-    // older serializations may lack the mask; fall back to "has a
-    // prediction slot" so hand-built results keep their semantics.
-    const bool bit_attacked =
-        result.bit_attacked.empty()
-            ? bit < result.predicted_bits.size()
-            : bit < result.bit_attacked.size() && result.bit_attacked[bit] != 0;
-    if (!bit_attacked) {
+    // would reward the attack for key bits it never examined.
+    if (bit >= result.bit_attacked.size() || result.bit_attacked[bit] == 0) {
       correct += 0.5;
       continue;
     }

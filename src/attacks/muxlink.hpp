@@ -9,7 +9,11 @@
 //      sample is an enclosing subgraph with DRNL + gate-type features.
 //   3. For every key bit, score the candidate links implied by key=0 vs
 //      key=1 and pick the likelier side. The margin between the two sides
-//      gives a confidence; bits below a threshold can be left undecided.
+//      gives a confidence; bits below kDecisionThreshold (0.05) are left
+//      undecided.
+// Step 2's training-link sampler and step 3's decision are shared with the
+// structural surrogate (attacks/link_training.hpp); this file keeps the
+// GNN ensemble and the subgraph samples it trains on.
 //
 // Metrics follow the literature: *accuracy* (all bits, forced decision) is
 // what the AutoLock paper uses as the GA fitness signal; *precision* is the
@@ -33,9 +37,6 @@ struct MuxLinkConfig {
   std::size_t epochs = 18;
   /// Cap on positive training links (negatives are matched 1:1).
   std::size_t max_train_links = 1000;
-  /// Minimum probability margin between the two key-value hypotheses for a
-  /// bit to count as "decided" in the thresholded (precision) metric.
-  double decision_threshold = 0.05;
   /// Number of independently-initialized GNNs trained per attack; candidate
   /// probabilities are averaged across them before deciding. >1 trades
   /// training time for decision variance (use for final evaluations, keep
@@ -53,8 +54,9 @@ struct MuxLinkResult {
   std::vector<int> thresholded_bits;
   /// 1 iff the attack formed a key-MUX hypothesis for this bit. Key bits
   /// driven by non-MUX key gates (RLL XOR/XNOR, anti-SAT blocks) have no
-  /// MUX link problem and stay 0; score() credits them as coin flips
-  /// instead of letting the forced-0 default silently score on zero bits.
+  /// MUX link problem and stay 0; score() credits them (and any bit past
+  /// the mask's end) as coin flips instead of letting the forced-0 default
+  /// silently score on zero bits.
   std::vector<char> bit_attacked;
   double first_epoch_loss = 0.0;
   double last_epoch_loss = 0.0;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "attacks/attack_scratch.hpp"
+#include "attacks/link_training.hpp"
 #include "netlist/analysis.hpp"
 #include "util/rng.hpp"
 
@@ -13,6 +14,13 @@ namespace autolock::attack {
 using netlist::NodeId;
 
 namespace {
+
+// Learner constants (logistic regression trained by plain SGD).
+constexpr std::size_t kEpochs = 40;
+constexpr double kLearningRate = 0.1;
+constexpr double kL2 = 1e-4;
+// Cap on positive training links (negatives are matched 1:1).
+constexpr std::size_t kMaxTrainLinks = 4000;
 
 std::array<double, StructuralLinkPredictor::kPairFeatureDim> pair_features(
     const AttackGraph& graph, const std::vector<std::size_t>& levels,
@@ -88,9 +96,8 @@ double predict_prob(
 
 }  // namespace
 
-StructuralLinkPredictor::StructuralLinkPredictor(
-    StructuralPredictorConfig config)
-    : config_(config) {}
+StructuralLinkPredictor::StructuralLinkPredictor(std::uint64_t seed)
+    : seed_(seed) {}
 
 MuxLinkResult StructuralLinkPredictor::attack(
     const netlist::Netlist& locked) const {
@@ -105,77 +112,11 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
   const AttackGraph& graph = scratch.graph;
   if (graph.problems().empty()) return result;
 
-  util::Rng rng(config_.seed ^ (locked.size() * 0xC0FFEEULL));
+  util::Rng rng(seed_ ^ (locked.size() * 0xC0FFEEULL));
   netlist::node_levels_into(locked, scratch.levels);
   const std::vector<std::size_t>& levels = scratch.levels;
-
-  std::vector<CandidateLink>& positives = scratch.positives;
-  positives = graph.known_links();
-  if (positives.size() > config_.max_train_links) {
-    rng.shuffle(positives);
-    positives.resize(config_.max_train_links);
-  }
-  std::vector<NodeId>& present_nodes = scratch.present_nodes;
-  std::vector<NodeId>& present_sinks = scratch.present_sinks;
-  present_nodes.clear();
-  present_sinks.clear();
-  for (NodeId v = 0; v < locked.size(); ++v) {
-    if (!graph.in_graph(v)) continue;
-    present_nodes.push_back(v);
-    if (!locked.node(v).fanins.empty()) present_sinks.push_back(v);
-  }
-  if (present_nodes.size() < 4 || present_sinks.empty()) return result;
-
-  // Mirror the GNN attack's negative mix: half uniform, half hard
-  // (near-the-sink) negatives — see muxlink.cpp for rationale.
-  auto sample_hard_negative = [&](CandidateLink& out) {
-    const NodeId v = present_sinks[rng.next_below(present_sinks.size())];
-    std::vector<NodeId>& ring = scratch.ring;
-    std::vector<NodeId>& frontier = scratch.frontier;
-    std::vector<NodeId>& next = scratch.next_frontier;
-    ring.clear();
-    frontier.clear();
-    frontier.push_back(v);
-    scratch.seen.begin_epoch(locked.size());
-    scratch.seen.mark(v);
-    for (int hop = 1; hop <= 3; ++hop) {
-      next.clear();
-      for (const NodeId x : frontier) {
-        for (const NodeId y : graph.neighbors(x)) {
-          if (!scratch.seen.try_mark(y)) continue;
-          next.push_back(y);
-          if (hop >= 2) ring.push_back(y);
-        }
-      }
-      std::swap(frontier, next);
-      if (ring.size() > 64) break;
-    }
-    if (ring.empty()) return false;
-    out = CandidateLink{ring[rng.next_below(ring.size())], v};
-    return true;
-  };
-
-  std::vector<CandidateLink>& negatives = scratch.negatives;
-  negatives.clear();
-  std::size_t guard = 0;
-  while (negatives.size() < positives.size() &&
-         guard < 100 * positives.size() + 1000) {
-    ++guard;
-    if (negatives.size() % 2 == 0) {
-      CandidateLink hard;
-      if (sample_hard_negative(hard)) {
-        negatives.push_back(hard);
-        continue;
-      }
-    }
-    const NodeId u = present_nodes[rng.next_below(present_nodes.size())];
-    const NodeId v = present_sinks[rng.next_below(present_sinks.size())];
-    if (u == v) continue;
-    const auto nu = graph.neighbors(u);
-    if (std::binary_search(nu.begin(), nu.end(), v)) {
-      continue;
-    }
-    negatives.push_back(CandidateLink{u, v});
+  if (!sample_training_links(graph, kMaxTrainLinks, rng, scratch)) {
+    return result;
   }
 
   struct Sample {
@@ -183,11 +124,11 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
     double y;
   };
   std::vector<Sample> samples;
-  samples.reserve(positives.size() + negatives.size());
-  for (const auto& link : positives) {
+  samples.reserve(scratch.positives.size() + scratch.negatives.size());
+  for (const auto& link : scratch.positives) {
     samples.push_back({pair_features(graph, levels, link.u, link.v), 1.0});
   }
-  for (const auto& link : negatives) {
+  for (const auto& link : scratch.negatives) {
     samples.push_back({pair_features(graph, levels, link.u, link.v), 0.0});
   }
   result.train_samples = samples.size();
@@ -196,10 +137,10 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
   std::vector<std::size_t>& order = scratch.order;
   order.resize(samples.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     rng.shuffle(order);
     // Only the first and last epochs' losses are reported.
-    const bool reported = epoch == 0 || epoch + 1 == config_.epochs;
+    const bool reported = epoch == 0 || epoch + 1 == kEpochs;
     double loss = 0.0;
     for (std::size_t idx : order) {
       const Sample& sample = samples[idx];
@@ -211,8 +152,7 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
       }
       const double err = p - sample.y;
       for (std::size_t i = 0; i < w.size(); ++i) {
-        w[i] -= config_.learning_rate *
-                (err * sample.x[i] + config_.l2 * w[i]);
+        w[i] -= kLearningRate * (err * sample.x[i] + kL2 * w[i]);
       }
     }
     if (!reported) continue;
@@ -221,34 +161,12 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
     result.last_epoch_loss = loss;
   }
 
-  int max_bit = -1;
-  for (const auto& problem : graph.problems()) {
-    max_bit = std::max(max_bit, problem.key_bit_index);
-  }
-  result.predicted_bits.assign(static_cast<std::size_t>(max_bit) + 1, 0);
-  result.margins.assign(static_cast<std::size_t>(max_bit) + 1, 0.0);
-  result.thresholded_bits.assign(static_cast<std::size_t>(max_bit) + 1, -1);
-  result.bit_attacked.assign(static_cast<std::size_t>(max_bit) + 1, 0);
-
-  for (const auto& problem : graph.problems()) {
-    auto mean_prob = [&](const std::vector<CandidateLink>& links) {
-      double sum = 0.0;
-      for (const auto& link : links) {
-        sum += predict_prob(pair_features(graph, levels, link.u, link.v), w);
-      }
-      return links.empty() ? 0.5 : sum / static_cast<double>(links.size());
-    };
-    const double p0 = mean_prob(problem.if_zero);
-    const double p1 = mean_prob(problem.if_one);
-    const int bit = problem.key_bit_index;
-    const int decision = p1 > p0 ? 1 : 0;
-    const double margin = std::abs(p1 - p0);
-    result.predicted_bits[bit] = decision;
-    result.margins[bit] = margin;
-    result.thresholded_bits[bit] =
-        margin >= config_.decision_threshold ? decision : -1;
-    result.bit_attacked[bit] = 1;
-  }
+  decide_key_bits(
+      graph,
+      [&](const CandidateLink& link) {
+        return predict_prob(pair_features(graph, levels, link.u, link.v), w);
+      },
+      result);
   return result;
 }
 

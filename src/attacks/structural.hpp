@@ -7,8 +7,11 @@
 // and (b) an independent second attack vector for multi-objective search
 // (the paper's research-plan item 3).
 //
-// Emits the same MuxLinkResult shape as the GNN attack so scoring and the
-// GA fitness plumbing are shared.
+// Only the model is its own: the training-link sampler and the per-key-bit
+// decision are MuxLink's (attacks/link_training.hpp), so it emits the same
+// MuxLinkResult, scored by MuxLinkAttack::score. The learner's knobs (40
+// epochs of SGD at rate 0.1, L2 1e-4, at most 4000 positive links) are
+// constants in structural.cpp; only the seed is an argument.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +22,11 @@
 
 namespace autolock::attack {
 
-struct StructuralPredictorConfig {
-  std::size_t epochs = 40;
-  double learning_rate = 0.1;
-  double l2 = 1e-4;
-  std::size_t max_train_links = 4000;
-  double decision_threshold = 0.05;
-  std::uint64_t seed = 0x57A7ULL;
-};
-
 class StructuralLinkPredictor {
  public:
-  explicit StructuralLinkPredictor(StructuralPredictorConfig config = {});
+  static constexpr std::uint64_t kDefaultSeed = 0x57A7ULL;
+
+  explicit StructuralLinkPredictor(std::uint64_t seed = kDefaultSeed);
 
   MuxLinkResult attack(const netlist::Netlist& locked) const;
 
@@ -47,13 +43,11 @@ class StructuralLinkPredictor {
     return MuxLinkAttack::score(attack(design.netlist, scratch), design.key);
   }
 
-  const StructuralPredictorConfig& config() const noexcept { return config_; }
-
   /// Number of features per candidate pair (exposed for tests).
   static constexpr std::size_t kPairFeatureDim = 10;
 
  private:
-  StructuralPredictorConfig config_;
+  std::uint64_t seed_;
 };
 
 }  // namespace autolock::attack

@@ -22,7 +22,6 @@ eval::EvalPipelineConfig AutoLock::pipeline_config() const {
       break;
   }
   pipeline.attack_options.muxlink = config_.muxlink;
-  pipeline.attack_options.structural = config_.structural;
   pipeline.corruption_weight = config_.corruption_weight;
   pipeline.corruption_vectors = config_.corruption_vectors;
   pipeline.threads = config_.threads;

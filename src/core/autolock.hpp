@@ -26,7 +26,6 @@
 #include <optional>
 
 #include "attacks/muxlink.hpp"
-#include "attacks/structural.hpp"
 #include "core/ga.hpp"
 #include "eval/pipeline.hpp"
 #include "locking/mux_lock.hpp"
@@ -43,7 +42,6 @@ enum class FitnessAttack {
 struct AutoLockConfig {
   ga::GaConfig ga;
   attack::MuxLinkConfig muxlink;
-  attack::StructuralPredictorConfig structural;
   FitnessAttack fitness_attack = FitnessAttack::kMuxLinkGnn;
   /// Stop as soon as the best individual's attack accuracy drops to this
   /// value or below (translated into a GA fitness target).

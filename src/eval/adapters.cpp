@@ -17,62 +17,36 @@
 namespace autolock::eval {
 namespace {
 
-/// Shared normalization for attacks that emit a MuxLinkScore (the GNN and
-/// the structural surrogate share MuxLink's result shape).
-AttackReport from_muxlink_score(std::string name,
-                                const attack::MuxLinkScore& score,
-                                double seconds) {
-  AttackReport report;
-  report.attack = std::move(name);
-  report.key_bits = score.key_bits;
-  report.accuracy = score.accuracy;
-  report.precision = score.precision;
-  report.decided_fraction = score.decided_fraction;
-  report.attacked_fraction = score.attacked_fraction;
-  report.key_recovery = score.accuracy;
-  report.key_recovered = score.key_bits > 0 && score.accuracy >= 1.0;
-  report.seconds = seconds;
-  return report;
-}
-
-class MuxLinkAdapter : public Attack {
+/// The link-prediction attacks (the MuxLink GNN and the structural
+/// surrogate): both emit a MuxLinkResult, scored by MuxLinkAttack::score.
+template <typename LinkAttack>
+class LinkPredictionAdapter : public Attack {
  public:
-  MuxLinkAdapter(std::string name, attack::MuxLinkConfig config)
-      : name_(std::move(name)), config_(config) {}
+  LinkPredictionAdapter(std::string name, LinkAttack attacker)
+      : name_(std::move(name)), attacker_(std::move(attacker)) {}
 
   const std::string& name() const noexcept override { return name_; }
 
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace& workspace) const override {
     util::Timer timer;
-    const auto score =
-        attack::MuxLinkAttack(config_).run(design, workspace.attack);
-    return from_muxlink_score(name_, score, timer.elapsed_seconds());
+    const attack::MuxLinkScore score = attacker_.run(design, workspace.attack);
+    AttackReport report;
+    report.attack = name_;
+    report.key_bits = score.key_bits;
+    report.accuracy = score.accuracy;
+    report.precision = score.precision;
+    report.decided_fraction = score.decided_fraction;
+    report.attacked_fraction = score.attacked_fraction;
+    report.key_recovery = score.accuracy;
+    report.key_recovered = score.key_bits > 0 && score.accuracy >= 1.0;
+    report.seconds = timer.elapsed_seconds();
+    return report;
   }
 
  private:
   std::string name_;
-  attack::MuxLinkConfig config_;
-};
-
-class StructuralAdapter : public Attack {
- public:
-  explicit StructuralAdapter(attack::StructuralPredictorConfig config)
-      : config_(config) {}
-
-  const std::string& name() const noexcept override { return name_; }
-
-  AttackReport evaluate(const lock::LockedDesign& design,
-                        EvalWorkspace& workspace) const override {
-    util::Timer timer;
-    const auto score =
-        attack::StructuralLinkPredictor(config_).run(design, workspace.attack);
-    return from_muxlink_score(name_, score, timer.elapsed_seconds());
-  }
-
- private:
-  std::string name_ = "structural";
-  attack::StructuralPredictorConfig config_;
+  LinkAttack attacker_;
 };
 
 class ScopeAdapter : public Attack {
@@ -164,21 +138,24 @@ void register_builtin_attacks(AttackRegistry& registry) {
     config.seed ^= options.seed;
     return config;
   };
+  using MuxLinkAdapter = LinkPredictionAdapter<attack::MuxLinkAttack>;
   registry.add("muxlink", [seeded_muxlink](const AttackOptions& options) {
-    attack::MuxLinkConfig config = seeded_muxlink(options);
-    return std::make_unique<MuxLinkAdapter>("muxlink", config);
+    return std::make_unique<MuxLinkAdapter>(
+        "muxlink", attack::MuxLinkAttack(seeded_muxlink(options)));
   });
   registry.add("muxlink-ensemble",
                [seeded_muxlink](const AttackOptions& options) {
                  attack::MuxLinkConfig config = seeded_muxlink(options);
                  config.ensemble = std::max<std::size_t>(options.ensemble, 1);
-                 return std::make_unique<MuxLinkAdapter>("muxlink-ensemble",
-                                                         config);
+                 return std::make_unique<MuxLinkAdapter>(
+                     "muxlink-ensemble", attack::MuxLinkAttack(config));
                });
   registry.add("structural", [](const AttackOptions& options) {
-    attack::StructuralPredictorConfig config = options.structural;
-    config.seed ^= options.seed;
-    return std::make_unique<StructuralAdapter>(config);
+    return std::make_unique<
+        LinkPredictionAdapter<attack::StructuralLinkPredictor>>(
+        "structural",
+        attack::StructuralLinkPredictor(
+            attack::StructuralLinkPredictor::kDefaultSeed ^ options.seed));
   });
   registry.add("scope", [](const AttackOptions&) {
     return std::make_unique<ScopeAdapter>();

@@ -15,7 +15,6 @@
 
 #include "attacks/muxlink.hpp"
 #include "attacks/sat_attack.hpp"
-#include "attacks/structural.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
 
@@ -45,7 +44,6 @@ struct AttackOptions {
   /// EvalPipeline fills this with its own original automatically.
   const netlist::Netlist* oracle = nullptr;
   attack::MuxLinkConfig muxlink;
-  attack::StructuralPredictorConfig structural;
   attack::SatAttackConfig sat;
   /// Committee size for "muxlink-ensemble".
   std::size_t ensemble = 3;

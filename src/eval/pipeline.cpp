@@ -79,8 +79,6 @@ const EvalPipeline::OracleBlocks& EvalPipeline::oracle_blocks(
     netlist::Simulator::draw_reference_blocks(*oracle_sim_, netlist::Key{},
                                               vectors, vec_rng, scratch,
                                               blocks.in_words, blocks.ref_words);
-    corruption_sweeps_.fetch_add((vectors + 63) / 64,
-                                 std::memory_order_relaxed);
     it = oracle_blocks_.emplace(key, std::move(blocks)).first;
   }
   return it->second;
@@ -146,9 +144,6 @@ double EvalPipeline::corruption(const LockedDesign& design,
   netlist::Simulator::multi_key_error_rate(workspace->locked_sim, batch,
                                            blocks.in_words, blocks.ref_words,
                                            vectors, workspace->sim, errors);
-  corruption_probes_.fetch_add(batch.size() * vectors,
-                               std::memory_order_relaxed);
-  corruption_sweeps_.fetch_add(vectors, std::memory_order_relaxed);
 
   double sum = 0.0;
   for (const double err : errors) sum += err;
@@ -273,10 +268,6 @@ EvalPipeline::BatchStats EvalPipeline::evaluate_batch(
     FitnessCache<Value>& cache, NeedsEval needs_eval, ResultOf result_of,
     Compute compute) {
   BatchStats stats;
-  const std::size_t probes_before =
-      corruption_probes_.load(std::memory_order_relaxed);
-  const std::size_t sweeps_before =
-      corruption_sweeps_.load(std::memory_order_relaxed);
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < population.size(); ++i) {
     if (!needs_eval(population[i])) continue;
@@ -327,10 +318,6 @@ EvalPipeline::BatchStats EvalPipeline::evaluate_batch(
     }
   }
   stats.evaluated = pending.size();
-  stats.corruption_probes =
-      corruption_probes_.load(std::memory_order_relaxed) - probes_before;
-  stats.corruption_sweeps =
-      corruption_sweeps_.load(std::memory_order_relaxed) - sweeps_before;
   cache_hits_.fetch_add(stats.cache_hits, std::memory_order_relaxed);
   return stats;
 }

@@ -160,11 +160,6 @@ class EvalPipeline {
   struct BatchStats {
     std::size_t cache_hits = 0;
     std::size_t evaluated = 0;  // attack/fitness invocations (cache misses)
-    /// (wrong key, vector) corruption probes sampled during this batch.
-    std::size_t corruption_probes = 0;
-    /// Topological simulator sweeps those probes cost (DUT multi-key sweeps
-    /// plus uncached oracle reference sweeps).
-    std::size_t corruption_sweeps = 0;
   };
 
   /// Evaluates a GA population in parallel (thread pool permitting).
@@ -189,15 +184,6 @@ class EvalPipeline {
   std::size_t evaluations() const noexcept { return evaluations_.load(); }
   /// Total cache hits since construction.
   std::size_t cache_hits() const noexcept { return cache_hits_.load(); }
-  /// Total (wrong key, vector) corruption probes since construction.
-  std::size_t corruption_probes() const noexcept {
-    return corruption_probes_.load();
-  }
-  /// Total simulator sweeps those probes cost (oracle reference sweeps are
-  /// cached per netlist size, so a population batch pays them once).
-  std::size_t corruption_sweeps() const noexcept {
-    return corruption_sweeps_.load();
-  }
 
  private:
   util::ThreadPool* worker_pool();
@@ -247,8 +233,6 @@ class EvalPipeline {
   FitnessCache<std::vector<double>> objective_cache_;
   std::atomic<std::size_t> evaluations_{0};
   std::atomic<std::size_t> cache_hits_{0};
-  mutable std::atomic<std::size_t> corruption_probes_{0};
-  mutable std::atomic<std::size_t> corruption_sweeps_{0};
   mutable std::mutex oracle_mutex_;
   mutable std::unordered_map<std::uint64_t, OracleBlocks> oracle_blocks_;
 };

@@ -21,7 +21,7 @@ void EvalWorkspace::reserve(const netlist::Netlist& original,
   }
   reach.topo.reserve(original.size(), original_edges, 3 * key_bits);
   // The decode-final order merge writes one entry per working-netlist node.
-  reach.topo_scratch.order.reserve(locked_nodes);
+  reach.topo_order.reserve(locked_nodes);
   lock::warm_decode_names(original, key_bits, reach);
   attack.seen.begin_epoch(locked_nodes);
   sim.values.reserve(locked_nodes);

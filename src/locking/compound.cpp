@@ -605,8 +605,8 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   // gene-by-gene by the dynamic order; debug builds re-verify the primed
   // order inside prime_topological_order.
   scratch.topo.order_into(context.seed_order(), context.seed_order_ranks(),
-                          context.seed_pos(), scratch.topo_scratch.order);
-  out.netlist.prime_topological_order(scratch.topo_scratch.order);
+                          context.seed_pos(), scratch.topo_order);
+  out.netlist.prime_topological_order(scratch.topo_order);
   scratch.last_design = &out;
   scratch.last_original = &original;
   scratch.last_design_version = out.netlist.structural_version();

@@ -27,8 +27,8 @@ namespace autolock::lock {
 /// Reusable per-worker decode state: DFS marks for reachability / cycle
 /// checks (every site-validity query otherwise allocates an O(V) visited
 /// vector; decode repairs and GA mutations run hundreds per genotype), the
-/// decode-local dynamic topological order, the buffers for the final
-/// cache-priming topological sort, and the interned ids of the
+/// decode-local dynamic topological order, the buffer the final
+/// cache-priming order is merged into, and the interned ids of the
 /// decode-generated names.
 struct ReachScratch {
   util::EpochFlags visited;
@@ -38,8 +38,9 @@ struct ReachScratch {
   /// ranks are a decode-local overlay — nothing in the Netlist itself
   /// refers to them.
   DecodeTopo topo;
-  /// Buffers for the decode-final Netlist::topological_order(TopoScratch&).
-  netlist::TopoScratch topo_scratch;
+  /// The decode-final topological order, merged here from the dynamic
+  /// ranks and swapped into the netlist by prime_topological_order.
+  std::vector<netlist::NodeId> topo_order;
   /// Fast-path token: the (design, original) pair the previous successful
   /// apply_genotype_into decoded through this scratch, plus the design
   /// netlist's structural version at that moment. When the next decode sees

@@ -305,33 +305,16 @@ bool Netlist::is_acyclic() const {
     const std::scoped_lock lock(cache_mutex_);
     if (cache_.topo_valid) return true;  // a full topo order exists
   }
-  // Kahn's algorithm: count processed nodes.
-  CsrFanouts outs;
-  outs.build(*this);
-  std::vector<std::uint32_t> pending(nodes_.size(), 0);
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
-  }
-  std::vector<NodeId> queue;
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    if (pending[v] == 0) queue.push_back(v);
-  }
-  std::size_t processed = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.back();
-    queue.pop_back();
-    ++processed;
-    for (NodeId w : outs.fanouts(v)) {
-      if (--pending[w] == 0) queue.push_back(w);
-    }
-  }
-  return processed == nodes_.size();
+  std::vector<NodeId> order;
+  return kahn_order(order);
 }
 
 const std::vector<NodeId>& Netlist::topological_order() const {
   const std::scoped_lock lock(cache_mutex_);
   if (!cache_.topo_valid) {
-    cache_.topo = compute_topological_order();
+    if (!kahn_order(cache_.topo)) {
+      throw std::runtime_error("Netlist::topological_order: graph is cyclic");
+    }
     cache_.topo_valid = true;
   }
   return cache_.topo;
@@ -344,19 +327,6 @@ const std::vector<std::vector<NodeId>>& Netlist::fanouts() const {
     cache_.fanouts_valid = true;
   }
   return cache_.fanouts;
-}
-
-const std::vector<NodeId>& Netlist::topological_order(
-    TopoScratch& scratch) const {
-  const std::scoped_lock lock(cache_mutex_);
-  if (!cache_.topo_valid) {
-    compute_topological_order_into(scratch);
-    // Swap rather than move: the cache's previous buffer becomes the
-    // scratch's capacity for the next computation.
-    cache_.topo.swap(scratch.order);
-    cache_.topo_valid = true;
-  }
-  return cache_.topo;
 }
 
 void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
@@ -386,40 +356,32 @@ void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
   cache_.topo_valid = true;
 }
 
-std::vector<NodeId> Netlist::compute_topological_order() const {
-  TopoScratch scratch;
-  compute_topological_order_into(scratch);
-  return std::move(scratch.order);
-}
-
-void Netlist::compute_topological_order_into(TopoScratch& scratch) const {
-  // Same Kahn traversal as before the CSR rewrite: sources are visited in
-  // ascending id via a LIFO queue and fanout lists are grouped in ascending
-  // sink order, so the produced order is bit-identical to the historical
-  // vector<vector> implementation.
+bool Netlist::kahn_order(std::vector<NodeId>& order) const {
+  // Sources are visited in ascending id via a LIFO queue and fanout lists
+  // are grouped in ascending sink order. Pinned GA trajectories depend on
+  // this exact order.
   const std::size_t n = nodes_.size();
-  scratch.fanouts.build(*this);
-  scratch.pending.resize(n);
+  CsrFanouts fanouts;
+  fanouts.build(*this);
+  std::vector<std::uint32_t> pending(n);
   for (NodeId v = 0; v < n; ++v) {
-    scratch.pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
+    pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
   }
-  scratch.order.clear();
-  scratch.order.reserve(n);
-  scratch.queue.clear();
+  order.clear();
+  order.reserve(n);
+  std::vector<NodeId> queue;
   for (NodeId v = 0; v < n; ++v) {
-    if (scratch.pending[v] == 0) scratch.queue.push_back(v);
+    if (pending[v] == 0) queue.push_back(v);
   }
-  while (!scratch.queue.empty()) {
-    const NodeId v = scratch.queue.back();
-    scratch.queue.pop_back();
-    scratch.order.push_back(v);
-    for (NodeId w : scratch.fanouts.fanouts(v)) {
-      if (--scratch.pending[w] == 0) scratch.queue.push_back(w);
+  while (!queue.empty()) {
+    const NodeId v = queue.back();
+    queue.pop_back();
+    order.push_back(v);
+    for (NodeId w : fanouts.fanouts(v)) {
+      if (--pending[w] == 0) queue.push_back(w);
     }
   }
-  if (scratch.order.size() != n) {
-    throw std::runtime_error("Netlist::topological_order: graph is cyclic");
-  }
+  return order.size() == n;
 }
 
 std::vector<std::vector<NodeId>> Netlist::compute_fanouts() const {

@@ -31,18 +31,6 @@
 
 namespace autolock::netlist {
 
-/// Reusable buffers for topological_order(TopoScratch&): the CSR fanout
-/// adjacency, Kahn's in-degree and queue arrays, and the order vector the
-/// result is computed into before being swapped into the netlist's cache.
-/// One scratch per worker; decode loops that re-sort thousands of locked
-/// netlists per second allocate nothing once it is warm.
-struct TopoScratch {
-  CsrFanouts fanouts;
-  std::vector<std::uint32_t> pending;
-  std::vector<NodeId> queue;
-  std::vector<NodeId> order;
-};
-
 struct Node {
   GateType type = GateType::kInput;
   bool is_key_input = false;
@@ -197,13 +185,6 @@ class Netlist {
   /// safe; the reference stays valid until mutation recomputes it.
   const std::vector<NodeId>& topological_order() const;
 
-  /// Scratch-reusing variant: identical result and caching, but the Kahn
-  /// traversal runs through `scratch`'s buffers, so a warm scratch makes the
-  /// computation allocation-free (the decode hot path re-sorts every locked
-  /// netlist it produces). When the cache is already valid the scratch is
-  /// untouched.
-  const std::vector<NodeId>& topological_order(TopoScratch& scratch) const;
-
   /// Installs `order` (contents swapped in; `order` receives the cache's
   /// previous buffer) as the cached topological order, replacing the Kahn
   /// recomputation the next traversal accessor would run. The caller must
@@ -256,9 +237,10 @@ class Netlist {
   }
   void index_name(NameId symbol, NodeId id);
   void invalidate_traversal_cache() noexcept;
-  std::vector<NodeId> compute_topological_order() const;
-  /// Computes the order into `scratch.order` (throws on a cycle).
-  void compute_topological_order_into(TopoScratch& scratch) const;
+  /// Kahn's traversal into `order`: the one topological sort behind both
+  /// topological_order() and is_acyclic(). Returns false iff the graph is
+  /// cyclic (`order` then holds only the nodes outside every cycle's reach).
+  bool kahn_order(std::vector<NodeId>& order) const;
   std::vector<std::vector<NodeId>> compute_fanouts() const;
 
   std::string name_;

@@ -31,8 +31,6 @@ AttackOptions fast_options(const Netlist& oracle) {
   options.muxlink.epochs = 4;
   options.muxlink.max_train_links = 120;
   options.muxlink.subgraph.max_nodes = 32;
-  options.structural.epochs = 10;
-  options.structural.max_train_links = 400;
   options.ensemble = 2;
   return options;
 }
